@@ -44,7 +44,7 @@ from .randsum import (
     random_sum_sample,
     theorem1_experiment,
 )
-from .specfun import QuadratureSpec, bessel_k, integrate, log_gamma
+from .specfun import QuadratureSpec, integrate
 
 __version__ = "0.1.0"
 
@@ -60,5 +60,5 @@ __all__ = [
     "Component", "NuFamily", "RandomSumConfig", "fit_stable_to_ecdf",
     "prelimit_experiment", "random_sum_draws", "random_sum_sample",
     "theorem1_experiment",
-    "QuadratureSpec", "bessel_k", "integrate", "log_gamma",
+    "QuadratureSpec", "integrate",
 ]

@@ -46,13 +46,20 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in _float_list(text)]
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=report.DEFAULT_SEED,
                         help="master seed (default 0x5EED)")
-    common.add_argument("--reps", type=int, default=None,
+    common.add_argument("--reps", type=_count, default=None,
                         help="override the command's replicate count")
-    common.add_argument("--workers", type=int, default=1,
+    common.add_argument("--workers", type=_count, default=1,
                         help="worker processes for Monte Carlo commands")
     common.add_argument("--format", choices=("table", "csv", "json"), default="table")
     common.add_argument("--out", default=None, help="write the report to this path")
@@ -351,10 +358,10 @@ _HANDLERS = {
 }
 
 
-def _config_echo(args, rc: report.RunConfig) -> dict:
+def _config_echo(args) -> dict:
     skip = {"command", "out", "svg", "format", "seed", "workers", "reps"}
-    cfg = {"seed": rc.seed, "replicates": rc.replicates, "workers": rc.workers,
-           "format": rc.output_format}
+    cfg = {"seed": args.seed, "replicates": args.reps, "workers": args.workers,
+           "format": args.format}
     for key, val in sorted(vars(args).items()):
         if key not in skip:
             cfg[key] = val
@@ -370,9 +377,6 @@ def run(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        rc = report.RunConfig(seed=args.seed, replicates=args.reps,
-                              workers=args.workers, output_format=args.format,
-                              output_path=args.out)
         payload, provenance, svg_spec = _HANDLERS[args.command](args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
@@ -384,7 +388,7 @@ def run(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    doc = report.make_document(args.command, _config_echo(args, rc), payload, provenance)
+    doc = report.make_document(args.command, _config_echo(args), payload, provenance)
     text = report.render(doc, args.format)
     if args.out:
         with open(args.out, "w") as fh:

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy import special as _sci_special
-from scipy import stats as _sci_stats
 
 from .errors import DataError
 from .parallel import child_rng, run_tasks
@@ -125,7 +124,7 @@ def ks_distance(sample, cdf) -> float:
 
 def ks_critical_value(n: int, level: float = 0.01) -> float:
     """Asymptotic critical value c(level)/sqrt(n) of the KS statistic."""
-    return float(_sci_stats.kstwobign.isf(level) / math.sqrt(n))
+    return float(_sci_special.kolmogi(level) / math.sqrt(n))
 
 
 # ----------------------------------------------------------------------

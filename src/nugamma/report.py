@@ -21,23 +21,6 @@ DEFAULT_SEED = 0x5EED  # echoed in every report; reproducibility by default
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = DEFAULT_SEED
-    replicates: int | None = None
-    workers: int = 1
-    output_format: str = "table"
-    output_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.replicates is not None and self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.output_format not in ("table", "csv", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-
-
 def _plain(value):
     """Convert numpy scalars/arrays to plain python types for serialization."""
     if isinstance(value, (np.floating, np.integer)):

@@ -1,11 +1,9 @@
-"""Special functions and adaptive quadrature used by the distribution layer.
+"""Adaptive quadrature used by the distribution layer.
 
-Only the pieces actually needed elsewhere live here: the log-gamma
-function, the modified Bessel function of the second kind K_nu for
-moderate orders, and adaptive integration over finite and semi-infinite
-ranges.  Evaluation is delegated to scipy's cephes/QUADPACK routines,
-wrapped behind a small stable surface so callers never touch scipy
-directly.
+Integration over finite and semi-infinite ranges, plus a sin-weighted
+rule for characteristic-function inversion.  Evaluation is delegated to
+scipy's QUADPACK routines, wrapped so that a missed tolerance raises
+:class:`IntegrationError` instead of passing a bad value on.
 """
 
 from __future__ import annotations
@@ -15,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _sci_integrate
-from scipy import special as _sci_special
 
 from .errors import IntegrationError
-
-# K_nu(x) ~ sqrt(pi/2x) e^-x; below the double-precision floor the value
-# is reported as an exact 0.0, which callers treat as the underflow signal
-# (a true K_nu is strictly positive).
-_KV_UNDERFLOW_X = 705.0
 
 
 @dataclass(frozen=True)
@@ -38,37 +30,6 @@ class QuadratureSpec:
             raise ValueError("abs_tol and rel_tol must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0.
-
-    Relative error is at the few-ulp level across [0.01, 170].
-    """
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return float(_sci_special.gammaln(x))
-
-
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind K_nu(x), x > 0.
-
-    Symmetric in the order, K_{-nu} = K_nu.  For x beyond the exponential
-    underflow range the function returns exactly 0.0; since K_nu(x) > 0
-    for every finite argument, a zero return is the underflow signal.
-    """
-    if not x > 0:
-        raise ValueError(f"bessel_k requires x > 0, got {x}")
-    if x > _KV_UNDERFLOW_X:
-        return 0.0
-    return float(_sci_special.kv(abs(nu), x))
-
-
-def bessel_k_scaled(nu: float, x: float) -> float:
-    """Exponentially scaled Bessel function, e^x K_nu(x); stable for large x."""
-    if not x > 0:
-        raise ValueError(f"bessel_k_scaled requires x > 0, got {x}")
-    return float(_sci_special.kve(abs(nu), x))
 
 
 def _check_quad(value: float, err: float, extra, spec: QuadratureSpec, what: str):

@@ -1,14 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nugamma
 from nugamma.cli import run
 from nugamma.dist import SymmetrizedGamma
 from nugamma.parallel import child_rng
 from nugamma.report import (
     ReportDocument,
-    RunConfig,
     make_document,
     numstr,
     render_csv,
@@ -65,12 +68,6 @@ class TestRenderers:
         doc = make_document("demo", {}, [{"v": float("inf")}], [])
         assert json.loads(render_json(doc))["payload"][0]["v"] is None
 
-    def test_run_config_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(workers=0)
-        with pytest.raises(ValueError):
-            RunConfig(output_format="yaml")
-
     def test_svg_chart_structure(self):
         svg = svg_line_chart([("a", [0.0, 1.0, 2.0], [0.0, 1.0, 4.0])],
                              "title", "x", "y")
@@ -99,6 +96,24 @@ class TestExitCodes:
     def test_numeric_underflow_window(self, capsys):
         assert run(["table3", "--delta", "1e-200", "--Delta", "1e-150",
                     "--n-list", "1"]) == 3
+
+    def test_usage_counts_below_one(self, capsys):
+        assert run(["hill", "--reps", "0"]) == 1
+        assert run(["bounds", "--workers", "0"]) == 1
+        assert run(["bounds", "--format", "yaml"]) == 1
+
+    @pytest.mark.parametrize("args", [["table1", "--m-list", "0.001"], ["fig1", "--m", "0.001"]])
+    def test_numeric_density_overflow(self, args, capsys):
+        # the Bessel factor of m = 0.001 overflows double precision
+        assert run(args) == 3
+
+    def test_import_skips_scipy_stats_and_interpolate(self):
+        src = os.path.dirname(os.path.dirname(nugamma.__file__))
+        code = ("import sys, nugamma.cli; print(sorted(m for m in sys.modules "
+                "if m.startswith(('scipy.stats', 'scipy.interpolate'))))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
 
 class TestTable1Command:
