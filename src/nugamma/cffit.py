@@ -147,6 +147,7 @@ def fit_stable_cf_values(cf, window: FitWindow, method: str = DEFAULT_METHOD) ->
     exact for a pure stable CF.  ls-cf: bounded Nelder-Mead on the sum of
     squared CF differences over the linearly spaced grid, started from
     the regression; deterministic, iteration cap 500, tolerance 1e-10.
+    Raises FitError when Nelder-Mead does not converge.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}")
@@ -168,6 +169,8 @@ def fit_stable_cf_values(cf, window: FitWindow, method: str = DEFAULT_METHOD) ->
         bounds=[(0.05, 2.0), (1e-8, 100.0)],
         options={"maxiter": 500, "xatol": 1e-10, "fatol": 1e-10},
     )
+    if not res.success:
+        raise FitError(f"Nelder-Mead did not converge: {res.message}")
     return StableFit(alpha=float(res.x[0]), lam=float(res.x[1]),
                      residual=float(res.fun), method=method)
 

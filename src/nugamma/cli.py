@@ -387,6 +387,9 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:  # a numeric failure no layer anticipated
+        print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
     doc = report.make_document(args.command, _config_echo(args), payload, provenance)
     text = report.render(doc, args.format)

@@ -1,10 +1,13 @@
 """Deterministic parallel Monte Carlo plumbing.
 
-Every experiment derives one child random stream per replicate index
-from the master seed, ``SeedSequence(entropy=seed, spawn_key=key)``, so
-results are bit-identical for a fixed seed no matter how the replicate
-range is partitioned across workers.  Workers receive contiguous index
-blocks and results are concatenated in block order.
+Replicates are split into chunks of a fixed size, ``CHUNK``, and each
+chunk draws from its own child stream, ``SeedSequence(entropy=seed,
+spawn_key=(*key, chunk))``.  The chunk size never depends on the worker
+count, so results are bit-identical for a fixed seed no matter how the
+chunks are partitioned across workers.  Workers receive contiguous
+blocks and results are concatenated in block order.  (The Hill
+experiment, with few and large simulations, keeps one stream per
+simulation.)
 """
 
 from __future__ import annotations
@@ -12,6 +15,10 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+
+# replicates per random stream; fixed so that payloads do not depend on
+# --workers, and large enough that stream derivation is negligible
+CHUNK = 4096
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:
@@ -38,3 +45,24 @@ def run_tasks(fn, args_list, workers: int = 1) -> list:
         return [fn(a) for a in args_list]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list))
+
+
+def _chunk_block(args) -> np.ndarray:
+    draw, params, total, seed, key, lo, hi = args
+    return np.concatenate([
+        draw(child_rng(seed, *key, c), min(CHUNK, total - c * CHUNK), *params)
+        for c in range(lo, hi)
+    ])
+
+
+def chunked_draws(draw, params: tuple, total: int, seed: int, key: tuple,
+                  workers: int = 1) -> np.ndarray:
+    """``total`` replicates, ``draw(rng, k, *params)`` per chunk of k <= CHUNK.
+
+    Chunk c draws from the stream (seed, *key, c); ``draw`` must be a
+    module-level function returning k values.
+    """
+    n_chunks = -(-total // CHUNK)
+    args = [(draw, params, total, seed, key, lo, hi)
+            for lo, hi in block_ranges(n_chunks, workers)]
+    return np.concatenate(run_tasks(_chunk_block, args, workers))

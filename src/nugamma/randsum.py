@@ -16,6 +16,14 @@ property with respect to its own m, and for arbitrary centered
 variance-2 summands the normalized sums converge to it as p -> 0.  The
 normalization p^(1/2) is required: without it the sum's variance grows
 like 1/p and no limit exists.
+
+Sampling is batched: replicates come in fixed-size chunks with one
+random stream each (see ``parallel``), and a chunk draws all its nu at
+once.  Symmetrized gamma and normal summands are then summed in closed
+form -- nu SG(m) variates add up to Gamma(nu/m, sqrt(m)) - Gamma(nu/m,
+sqrt(m)), nu N(0, s^2) variates to s sqrt(nu) Z -- and other summands
+are drawn flat and reduced per replicate.  ``random_sum_sample`` is the
+literal one-replicate loop, kept as the reference for the batched path.
 """
 
 from __future__ import annotations
@@ -28,10 +36,18 @@ from scipy.optimize import minimize
 
 from .diagnostics import ks_distance
 from .dist import SymmetrizedGamma
-from .parallel import block_ranges, child_rng, run_tasks
+from .errors import FitError
+from .parallel import chunked_draws
 
 ECDF_GRID_POINTS = 512
 ECDF_CENTRAL_SPAN = 0.999
+
+# summands drawn one by one (uniform) cost one draw each: a stage whose
+# expected count, replicates / p, exceeds this is refused before drawing
+MAX_EXPECTED_SUMMANDS = 2 ** 34
+# flat summand draws are reduced in sub-batches of about this many, split
+# on replicate boundaries, so memory stays flat at every p
+FLAT_BATCH = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -121,20 +137,51 @@ def random_sum_sample(config: RandomSumConfig, rng: np.random.Generator) -> floa
     return math.sqrt(config.family.p) * float(y.sum())
 
 
-def _sums_block(args) -> np.ndarray:
-    family, component, seed, stage, lo, hi = args
-    cfg = RandomSumConfig(family, component, replicates=1, seed=seed)
-    out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        out[i - lo] = random_sum_sample(cfg, child_rng(seed, stage, i))
+def _flat_sums(rng: np.random.Generator, nu: np.ndarray, component: Component) -> np.ndarray:
+    """Per-replicate sums of flat ``component.sample`` draws, in sub-batches
+    of about FLAT_BATCH summands that end on replicate boundaries."""
+    ends = np.cumsum(nu)
+    out = np.empty(len(nu))
+    lo = 0
+    while lo < len(nu):
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + FLAT_BATCH, side="right")))
+        y = component.sample(rng, int(ends[hi - 1]) - start)
+        out[lo:hi] = np.add.reduceat(y, ends[lo:hi] - nu[lo:hi] - start)
+        lo = hi
     return out
 
 
+def _sums_chunk(rng: np.random.Generator, k: int, family: NuFamily,
+                component: Component) -> np.ndarray:
+    nu = family.sample(rng, size=k)
+    if component.kind == "sg":
+        shape, scale = nu / component.param, math.sqrt(component.param)
+        sums = rng.gamma(shape, scale) - rng.gamma(shape, scale)
+    elif component.kind == "normal":
+        sums = component.param * np.sqrt(nu) * rng.standard_normal(k)
+    elif component.kind == "zero":
+        sums = np.zeros(k)
+    else:
+        sums = _flat_sums(rng, nu, component)
+    return math.sqrt(family.p) * sums
+
+
+def _check_draw_budget(config: RandomSumConfig) -> None:
+    if config.component.kind in ("sg", "normal", "zero"):
+        return  # O(1) draws per replicate
+    expected = config.replicates / config.family.p
+    if expected > MAX_EXPECTED_SUMMANDS:
+        raise ValueError(
+            f"{config.replicates} replicates at p={config.family.p:g} need about "
+            f"{expected:.3g} summand draws, over the budget of {MAX_EXPECTED_SUMMANDS:.3g}")
+
+
 def random_sum_draws(config: RandomSumConfig, *, stage: int = 0, workers: int = 1) -> np.ndarray:
-    """All replicates, one child stream per (stage, replicate index)."""
-    blocks = block_ranges(config.replicates, workers)
-    args = [(config.family, config.component, config.seed, stage, lo, hi) for lo, hi in blocks]
-    return np.concatenate(run_tasks(_sums_block, args, workers))
+    """All replicates, one child stream per (stage, chunk index)."""
+    _check_draw_budget(config)
+    return chunked_draws(_sums_chunk, (config.family, config.component),
+                         config.replicates, config.seed, (stage,), workers)
 
 
 def theorem1_experiment(m: int, component: Component, p_schedule,
@@ -153,23 +200,20 @@ def theorem1_experiment(m: int, component: Component, p_schedule,
         raise ValueError("p_schedule must be strictly decreasing")
     if abs(component.variance - 2.0) > 1e-9:
         raise ValueError("theorem1_experiment requires a variance-2 component")
+    configs = [RandomSumConfig(NuFamily(m, p), component, replicates, seed) for p in p_schedule]
+    for cfg in configs:
+        _check_draw_budget(cfg)
     target = SymmetrizedGamma(float(m))
     rows = []
-    for stage, p in enumerate(p_schedule):
-        cfg = RandomSumConfig(NuFamily(m, p), component, replicates, seed)
+    for stage, (p, cfg) in enumerate(zip(p_schedule, configs)):
         sums = random_sum_draws(cfg, stage=stage, workers=workers)
         cdf = target.cdf_interpolator(np.abs(sums).max())
         rows.append((float(p), ks_distance(sums, cdf)))
     return rows
 
 
-def _prelimit_block(args) -> np.ndarray:
-    m, n, scale, seed, lo, hi = args
-    d = SymmetrizedGamma(m)
-    out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        out[i - lo] = d.sample(child_rng(seed, i), n).sum() / scale
-    return out
+def _prelimit_chunk(rng: np.random.Generator, k: int, m_eff: float, factor: float) -> np.ndarray:
+    return SymmetrizedGamma(m_eff).sample(rng, k) * factor
 
 
 def evaluation_grid(draws: np.ndarray, points: int = ECDF_GRID_POINTS) -> np.ndarray:
@@ -193,13 +237,19 @@ class PrelimitResult:
 def prelimit_experiment(m: int, n: int, replicates: int, exponent_alpha: float,
                         seed: int, workers: int = 1) -> PrelimitResult:
     """Replicate sums of n symmetrized gamma(m) variates, each divided by
-    n^(1/exponent_alpha), with their empirical CDF on the standard grid."""
+    n^(1/exponent_alpha), with their empirical CDF on the standard grid.
+
+    By gamma additivity such a sum has exactly the law sqrt(n) SG(m/n),
+    so each replicate costs two gamma draws whatever n is; chunk c of
+    the replicates draws from the stream (seed, c).
+    """
     if n < 1 or replicates < 1:
         raise ValueError("n and replicates must be >= 1")
+    if not 0.0 < exponent_alpha <= 2.0:
+        raise ValueError(f"exponent_alpha must be in (0, 2], got {exponent_alpha}")
     scale = float(n) ** (1.0 / exponent_alpha)
-    blocks = block_ranges(replicates, workers)
-    args = [(float(m), int(n), scale, seed, lo, hi) for lo, hi in blocks]
-    sums = np.concatenate(run_tasks(_prelimit_block, args, workers))
+    sums = chunked_draws(_prelimit_chunk, (m / n, math.sqrt(n) / scale),
+                         replicates, seed, (), workers)
     grid = evaluation_grid(sums)
     return PrelimitResult(sums=sums, grid=grid, ecdf=ecdf_values(sums, grid))
 
@@ -218,7 +268,7 @@ def fit_stable_to_ecdf(grid: np.ndarray, ecdf: np.ndarray,
 
     Deterministic bounded Nelder-Mead over (alpha, lambda); the reported
     ks is the sup distance between the table and the fitted CDF on the
-    same grid.
+    same grid.  Raises FitError when Nelder-Mead does not converge.
     """
     from .dist import SymmetricStable
 
@@ -236,6 +286,8 @@ def fit_stable_to_ecdf(grid: np.ndarray, ecdf: np.ndarray,
         bounds=[(0.8, 2.0), (1e-3, 50.0)],
         options={"maxiter": 500, "xatol": 1e-10, "fatol": 1e-10},
     )
+    if not res.success:
+        raise FitError(f"Nelder-Mead did not converge: {res.message}")
     alpha, lam = float(res.x[0]), float(res.x[1])
     model = SymmetricStable(alpha=alpha, lam=lam).cdf_grid(grid)
     return EcdfStableFit(alpha=alpha, lam=lam, residual=float(res.fun),

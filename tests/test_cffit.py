@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nugamma import cffit
 from nugamma.cffit import (
     FitWindow,
     feasible_lambda_interval,
@@ -133,6 +134,14 @@ class TestFitStable:
     def test_bad_method(self):
         with pytest.raises(ValueError):
             fit_stable_to_cf(20.0, 1, FitWindow(0.005, 0.5), "nope")
+
+    def test_nonconvergence_raises(self, monkeypatch, stalled_minimize):
+        monkeypatch.setattr(cffit, "minimize", stalled_minimize)
+        w = FitWindow(0.005, 0.5, 256)
+        with pytest.raises(FitError, match="did not converge"):
+            fit_stable_to_cf(20.0, 10, w, "ls-cf")
+        # the regression method runs no optimizer
+        assert fit_stable_to_cf(20.0, 10, w, "loglog-regression").alpha > 1.0
 
 
 class TestTable3Sweep:

@@ -129,6 +129,15 @@ class TestSymmetrizedGammaCdf:
         assert SymmetrizedGamma(50.0).cdf(1.1e-6) == pytest.approx(
             0.773508440868216, abs=1e-9)
 
+    @pytest.mark.parametrize("m,x", [(10.0, 200.0), (1.0, 75.0)])
+    def test_tail_beyond_table_top_relative(self, m, x):
+        # x lies beyond the 50 sqrt(m) table top: the adaptive tail alone
+        # must keep relative accuracy there, however small the survival
+        d = SymmetrizedGamma(m)
+        assert x > d._cdf_table._top
+        want = float(oracles.sg_tail_mp(x, m))
+        assert abs(d.survival(x) / want - 1.0) <= 1e-8
+
     def test_interpolator_matches_scalar(self):
         for m in (1.0, 2.0, 50.0):
             d = SymmetrizedGamma(m)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
+from nugamma import randsum
 from nugamma.diagnostics import ks_critical_value, ks_distance
 from nugamma.dist import SymmetricStable, SymmetrizedGamma
-from nugamma.parallel import child_rng
+from nugamma.errors import FitError
+from nugamma.parallel import CHUNK, child_rng
 from nugamma.randsum import (
     Component,
     NuFamily,
@@ -115,6 +118,66 @@ class TestRandomSumSample:
         np.testing.assert_array_equal(a, b)
 
 
+class TestBatchedSums:
+    """The chunked, batched path against the literal one-replicate loop."""
+
+    @pytest.mark.parametrize("component", [Component.uniform_var2(),
+                                           Component.symmetrized_gamma(2.0),
+                                           Component.normal(), Component.zero()],
+                             ids=lambda c: c.kind)
+    @pytest.mark.parametrize("p", [0.2, 0.02])
+    def test_matches_loop_oracle(self, component, p):
+        reps = 3000
+        cfg = RandomSumConfig(NuFamily(2, p), component, reps, SEED)
+        batched = random_sum_draws(cfg)
+        rng = child_rng(SEED, 47)
+        loop = np.array([random_sum_sample(cfg, rng) for _ in range(reps)])
+        assert ks_2samp(batched, loop).pvalue > 1e-3
+
+    def test_flat_sums_split_on_replicate_boundaries(self, monkeypatch):
+        # sub-batches of at most 7 summands, and one replicate (40) larger
+        # than a sub-batch: the stream is consumed in the same order, so
+        # the per-replicate sums match one flat draw split by hand
+        nu = np.array([1, 3, 40, 2, 7, 1, 1, 5, 6])
+        comp = Component.uniform_var2()
+        flat = comp.sample(child_rng(SEED, 48), int(nu.sum()))
+        want = [part.sum() for part in np.split(flat, np.cumsum(nu)[:-1])]
+        monkeypatch.setattr(randsum, "FLAT_BATCH", 7)
+        got = randsum._flat_sums(child_rng(SEED, 48), nu, comp)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_replicates_span_chunks_deterministically(self):
+        reps = 10500
+        assert reps > 2.5 * CHUNK
+        cfg = RandomSumConfig(NuFamily(2, 0.2), Component.uniform_var2(), reps, 11)
+        a = random_sum_draws(cfg, workers=1)
+        b = random_sum_draws(cfg, workers=3)
+        np.testing.assert_array_equal(a, b)
+        # chunks draw from distinct streams
+        assert not np.array_equal(a[:CHUNK], a[CHUNK:2 * CHUNK])
+
+    def test_draw_budget_guard(self, monkeypatch):
+        # the real budget: about 1e11 uniform draws are refused, 1e10 are not
+        with pytest.raises(ValueError, match="budget"):
+            randsum._check_draw_budget(
+                RandomSumConfig(NuFamily(2, 1e-6), Component.uniform_var2(), 10 ** 5, SEED))
+        randsum._check_draw_budget(
+            RandomSumConfig(NuFamily(2, 1e-4), Component.uniform_var2(), 10 ** 6, SEED))
+        # summands summed in closed form cost O(1) draws at any p
+        for comp in (Component.symmetrized_gamma(2.0), Component.normal(), Component.zero()):
+            cfg = RandomSumConfig(NuFamily(2, 1e-6), comp, 10 ** 5, SEED)
+            assert random_sum_draws(cfg).shape == (10 ** 5,)
+        # a stage is refused before it draws, a schedule before its first stage
+        monkeypatch.setattr(randsum, "MAX_EXPECTED_SUMMANDS", 10 ** 4)
+        with pytest.raises(ValueError, match="budget"):
+            random_sum_draws(RandomSumConfig(NuFamily(2, 0.01), Component.uniform_var2(),
+                                             1000, SEED))
+        monkeypatch.setattr(randsum, "random_sum_draws",
+                            lambda *a, **k: pytest.fail("a stage drew before the check"))
+        with pytest.raises(ValueError, match="budget"):
+            theorem1_experiment(2, Component.uniform_var2(), [0.5, 0.01], 1000, SEED)
+
+
 class TestTheorem1:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -181,6 +244,27 @@ class TestPrelimit:
         b = prelimit_experiment(3, 100, 200, 1.83, 5, workers=2)
         np.testing.assert_array_equal(a.sums, b.sums)
 
+    def test_workers_deterministic_across_chunks(self):
+        reps = 10500
+        assert reps > 2.5 * CHUNK
+        a = prelimit_experiment(3, 100, reps, 1.83, 5, workers=1)
+        b = prelimit_experiment(3, 100, reps, 1.83, 5, workers=3)
+        np.testing.assert_array_equal(a.sums, b.sums)
+
+    def test_exact_law(self):
+        # a sum of n SG(m) variates is sqrt(n) SG(m/n); m/n = 0.1 lies
+        # inside the CDF's domain
+        m, n, alpha, reps = 5, 50, 1.83, 10000
+        res = prelimit_experiment(m, n, reps, alpha, SEED)
+        factor = math.sqrt(n) / n ** (1.0 / alpha)
+        F = SymmetrizedGamma(m / n).cdf_interpolator(np.abs(res.sums).max() / factor)
+        assert ks_distance(res.sums, lambda x: F(x / factor)) < ks_critical_value(reps, 0.01)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 2.5, float("nan")])
+    def test_exponent_outside_domain(self, alpha):
+        with pytest.raises(ValueError, match="exponent_alpha"):
+            prelimit_experiment(5, 50, 10, alpha, SEED)
+
 
 class TestEcdfStableFit:
     def test_recovers_exact_stable_cdf(self):
@@ -191,6 +275,12 @@ class TestEcdfStableFit:
         assert fit.alpha == pytest.approx(1.5, abs=5e-3)
         assert fit.lam == pytest.approx(0.8, abs=5e-3)
         assert fit.ks < 1e-3
+
+    def test_nonconvergence_raises(self, monkeypatch, stalled_minimize):
+        monkeypatch.setattr(randsum, "minimize", stalled_minimize)
+        grid = np.linspace(-6.0, 6.0, 64)
+        with pytest.raises(FitError, match="did not converge"):
+            fit_stable_to_ecdf(grid, SymmetricStable(1.5, 0.8).cdf_grid(grid))
 
     def test_ecdf_helpers(self):
         draws = np.array([1.0, 2.0, 3.0, 4.0, 5.0])

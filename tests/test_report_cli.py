@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nugamma
+from nugamma import cli, randsum
 from nugamma.cli import run
 from nugamma.dist import SymmetrizedGamma
 from nugamma.parallel import child_rng
@@ -21,6 +22,13 @@ from nugamma.report import (
 )
 
 import oracles
+
+
+def _cli_subprocess(args):
+    """The CLI in a fresh interpreter, so an escaped traceback would show."""
+    src = os.path.dirname(os.path.dirname(nugamma.__file__))
+    return subprocess.run([sys.executable, "-m", "nugamma.cli", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
 
 
 def _run_json(tmp_path, args, name="out.json"):
@@ -107,6 +115,32 @@ class TestExitCodes:
         # the Bessel factor of m = 0.001 overflows double precision
         assert run(args) == 3
 
+    def test_fig2_exponent_zero_is_usage_error(self):
+        # formerly a ZeroDivisionError traceback
+        out = _cli_subprocess(["fig2", "--exponent", "0", "--reps", "10", "--n", "20"])
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr and "exponent_alpha" in out.stderr
+
+    def test_randsum_over_draw_budget_is_usage_error(self, capsys):
+        assert run(["randsum", "--reps", "100000", "--p-schedule", "0.01,0.000001"]) == 1
+        assert "budget" in capsys.readouterr().err
+
+    def test_stray_arithmetic_error_is_numeric(self, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(randsum, "prelimit_experiment", boom)
+        assert run(["fig2", "--reps", "10"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: OverflowError") and "Traceback" not in err
+
+    def test_unconverged_fit_is_numeric(self, monkeypatch, capsys, stalled_minimize):
+        monkeypatch.setattr(randsum, "minimize", stalled_minimize)
+        assert run(["fig2", "--reps", "30", "--n", "200"]) == 3
+        monkeypatch.setattr(cli.cffit, "minimize", stalled_minimize)
+        assert run(["table3", "--n-list", "1,10"]) == 3
+        assert "did not converge" in capsys.readouterr().err
+
     def test_import_skips_scipy_stats_and_interpolate(self):
         src = os.path.dirname(os.path.dirname(nugamma.__file__))
         code = ("import sys, nugamma.cli; print(sorted(m for m in sys.modules "
@@ -180,7 +214,8 @@ class TestFig2Command:
         assert len(body["payload"]["ecdf"]) == 512
 
     def test_clt_exponent_alpha_near_two(self, tmp_path):
-        body = _run_json(tmp_path, ["fig2", "--reps", "400", "--n", "2000",
+        # 4000 replicates: at 400, one seed in six fits alpha below 1.9
+        body = _run_json(tmp_path, ["fig2", "--reps", "4000", "--n", "2000",
                                     "--m", "1", "--exponent", "2.0"])
         assert body["payload"]["fit"][0]["alpha"] > 1.9
 
@@ -279,6 +314,7 @@ class TestDeterminismAcrossWorkers:
         ["hill", "--n", "500", "--sims", "6"],
         ["fig2", "--reps", "40", "--n", "300"],
         ["table1", "--m-list", "10,20"],
+        ["randsum", "--reps", "10500", "--p-schedule", "0.2,0.05"],  # > 2.5 chunks
     ])
     def test_payload_bytes_identical(self, tmp_path, args):
         a = _run_json(tmp_path, args + ["--workers", "1"], "w1.json")
