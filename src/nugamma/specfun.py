@@ -1,7 +1,7 @@
-"""Adaptive quadrature used by the distribution layer.
+"""Adaptive quadrature used by the symmetrized gamma CDF tables' tails.
 
 Integration over finite and semi-infinite ranges, plus a sin-weighted
-rule for characteristic-function inversion.  Evaluation is delegated to
+rule for CF inversion (the tests' stable oracle).  Evaluation goes to
 scipy's QUADPACK routines, wrapped so that a missed tolerance raises
 :class:`IntegrationError` instead of passing a bad value on.
 """
@@ -69,8 +69,8 @@ def integrate_sin(f, a: float, b: float, omega: float,
                   spec: QuadratureSpec | None = None) -> tuple[float, float]:
     """Oscillatory integral of ``f(t) * sin(omega * t)`` over a finite (a, b).
 
-    Thin wrapper over the QAWO rule; used for characteristic-function
-    inversion where the plain rule would need one panel per oscillation.
+    Thin wrapper over the QAWO rule, for characteristic-function inversion
+    where the plain rule would need one panel per oscillation.
     """
     spec = spec or QuadratureSpec()
     out = _sci_integrate.quad(

@@ -13,13 +13,24 @@ tautology:
   characteristic function by an oscillatory cosine inversion
   (mpmath.quadosc); slow, used to freeze values.
 * ``bessel_k_integral_mp``: K_nu from its cosh integral representation.
+* ``stable_cdf_qawo``: the symmetric stable CDF by inverting the
+  characteristic function with QUADPACK's sin-weighted rule.  The package
+  evaluates the Zolotarev integral instead.
+* ``stable_sample_cms``: Chambers-Mallows-Stuck draws of the symmetric
+  stable law, for Monte Carlo checks where the inversion fails.
 
 Frozen dictionaries at the bottom were produced by exactly these
 functions; the slow ones are cross-checked live on a thin subsample in
 the test modules.
 """
 
+import math
+
 import mpmath as mp
+import numpy as np
+
+from nugamma import specfun
+from nugamma.specfun import QuadratureSpec
 
 
 def sg_tail_mp(x, m, dps=35):
@@ -49,6 +60,51 @@ def bessel_k_integral_mp(nu, x, dps=30):
     mp.mp.dps = dps
     nu_, x_ = mp.mpf(nu), mp.mpf(x)
     return mp.quad(lambda t: mp.e ** (-x_ * mp.cosh(t)) * mp.cosh(nu_ * t), [0, 40])
+
+
+def stable_cdf_qawo(alpha, lam, x):
+    """F(x) = 1/2 + (1/pi) int_0^inf sin(t x) exp(-lam t^alpha) / t dt.
+
+    The CF is cut where exp(-lam t^alpha) < 1e-18.  Up to the first
+    quarter period the plain adaptive rule runs; beyond it the QAWO rule.
+    Absolute accuracy ~1e-9 where it converges, for alpha >= 0.3; at some
+    points it raises IntegrationError, and for alpha near 0.1 it returns
+    wrong values without an error.
+    """
+    x = float(x)
+    if x == 0.0:
+        return 0.5
+    if x < 0.0:
+        return 1.0 - stable_cdf_qawo(alpha, lam, -x)
+    T = (41.45 / lam) ** (1.0 / alpha)
+    spec = QuadratureSpec(abs_tol=2e-9, rel_tol=1e-9, max_subdivisions=400)
+
+    def integrand(t):
+        return math.sin(t * x) / t * math.exp(-lam * t ** alpha) if t > 0 else x
+
+    t1 = min(math.pi / (2.0 * x), T)
+    total, _ = specfun.integrate(integrand, 0.0, t1, spec)
+    if t1 < T:
+        osc, _ = specfun.integrate_sin(
+            lambda t: math.exp(-lam * t ** alpha) / t, t1, T, x, spec)
+        total += osc
+    return min(max(0.5 + total / math.pi, 0.0), 1.0)
+
+
+def stable_sample_cms(alpha, lam, rng, n):
+    """n draws of the symmetric stable law with CF exp(-lam |t|^alpha).
+
+    Chambers, Mallows and Stuck (1976) for beta = 0, with U uniform on
+    (-pi/2, pi/2) and W standard exponential.
+    """
+    u = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, n)
+    w = rng.standard_exponential(n)
+    if alpha == 1.0:
+        x = np.tan(u)
+    else:
+        x = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+             * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+    return lam ** (1.0 / alpha) * x
 
 
 def log_gamma_mp(x, dps=30):

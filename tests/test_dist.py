@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from nugamma.dist import (
     GaussExtremalMixture,
@@ -10,11 +13,15 @@ from nugamma.dist import (
     gamma_sample,
 )
 from nugamma.diagnostics import ks_critical_value, ks_distance
+from nugamma.errors import IntegrationError
 from nugamma.parallel import child_rng
 
 import oracles
 
 SEED = 0x5EED
+
+STABLE_ALPHAS = (0.3, 0.5, 0.8, 0.9, 0.99, 0.999, 0.9999, 1.0001, 1.001, 1.01,
+                 1.1, 1.2, 1.5, 1.9, 1.9999)
 
 
 class TestSymmetrizedGammaCF:
@@ -292,12 +299,102 @@ class TestSymmetricStable:
         vals = [s.cdf(x) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    def test_grid_matches_scalar(self):
-        s = SymmetricStable(1.8, 0.45)
-        xs = np.linspace(-4.0, 4.0, 17)
-        grid = s.cdf_grid(xs)
-        scalar = np.array([s.cdf(x) for x in xs])
-        np.testing.assert_allclose(grid, scalar, atol=1e-7)
+    def test_matches_qawo_oracle(self):
+        # the engine against characteristic-function inversion wherever
+        # QAWO converges: |alpha - 1| down to 1e-4 at lam = 1, and the
+        # graded rule near alpha = 1 at other scales out to x = 1e6
+        cases = [(alpha, 1.0, np.logspace(-4.0, 3.0, 29)) for alpha in STABLE_ALPHAS]
+        cases += [(alpha, lam, np.logspace(-4.0, 6.0, 21))
+                  for alpha in (0.76, 0.8, 0.9, 0.97, 1.03, 1.1, 1.2, 1.24) for lam in (0.3, 5.0)]
+        checked = total = 0
+        for alpha, lam, xs in cases:
+            for x, got in zip(xs, SymmetricStable(alpha, lam).cdf_grid(xs)):
+                total += 1
+                try:
+                    expect = oracles.stable_cdf_qawo(alpha, lam, x)
+                except IntegrationError:
+                    continue
+                checked += 1
+                assert abs(got - expect) <= 1e-9, (alpha, lam, x, got, expect)
+        assert checked >= 0.95 * total
+
+    def test_closed_forms(self):
+        xs = np.concatenate((-np.logspace(-4.0, 4.0, 17), np.logspace(-4.0, 4.0, 17)))
+        for lam in (0.3, 1.0, 7.0):
+            np.testing.assert_allclose(
+                SymmetricStable(1.0, lam).cdf_grid(xs),
+                0.5 + np.arctan(xs / lam) / math.pi, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(
+                SymmetricStable(2.0, lam).cdf_grid(xs),
+                ndtr(xs / math.sqrt(2.0 * lam)), rtol=0.0, atol=1e-12)
+
+    def test_continuous_at_closed_forms(self):
+        # F moves by about 0.13 |alpha - 1| next to alpha = 1 and by about
+        # 0.06 (2 - alpha) next to alpha = 2; a bad rule shows as ~1e-3
+        xs = np.concatenate((-np.logspace(-4.0, 4.0, 33), np.logspace(-4.0, 4.0, 33)))
+        cauchy = SymmetricStable(1.0, 1.0).cdf_grid(xs)
+        for alpha in (1.0 - 1e-6, 1.0 + 1e-6):
+            got = SymmetricStable(alpha, 1.0).cdf_grid(xs)
+            assert np.max(np.abs(got - cauchy)) <= 2e-7
+        normal = SymmetricStable(2.0, 1.0).cdf_grid(xs)
+        got = SymmetricStable(2.0 - 1e-6, 1.0).cdf_grid(xs)
+        assert np.max(np.abs(got - normal)) <= 1e-7
+
+    @pytest.mark.parametrize("alpha, lam, x", [
+        (0.3, 1.0, 1e20), (0.5, 2.0, 1e12), (1.5, 1.0, 1e4), (1.9, 1.0, 1e5)])
+    def test_power_law_tail(self, alpha, lam, x):
+        # P{X > x} against three terms of its series in lam x^-alpha; the
+        # worst case here (alpha = 1.9, a tail of 1.5e-11) is 1.4e-7 off
+        series = sum((-1) ** (k + 1) * math.gamma(k * alpha) * math.sin(k * math.pi * alpha / 2)
+                     / math.factorial(k) * lam ** k * x ** (-k * alpha) for k in (1, 2, 3))
+        got = SymmetricStable(alpha, lam).cdf(-x)
+        assert got == pytest.approx(series / math.pi, rel=5e-7, abs=0.0)
+
+    def test_far_point(self):
+        # a Fourier rule sized by max|x| needs an 11.9 GiB node matrix here
+        expect = oracles.stable_cdf_qawo(1.5, 1.0, 1e4)
+        assert abs(SymmetricStable(1.5, 1.0).cdf_grid([1e4])[0] - expect) <= 1e-9
+
+    def test_monotone_through_zero(self):
+        # near alpha = 1 the tail at tiny x is the step's 1/2 plus the
+        # panels' share, which must not round above 1/2
+        xs = np.logspace(-300.0, 0.0, 600)
+        for alpha in (0.77, 0.94, 1.09, 1.19):
+            s = SymmetricStable(alpha, 1.0)
+            assert np.all(s.cdf_grid(-xs) <= 0.5) and np.all(s.cdf_grid(xs) >= 0.5)
+
+    def test_cdf_is_view_of_grid(self):
+        s = SymmetricStable(1.3, 0.8)
+        xs = np.array([-7.0, -0.2, 0.0, 0.4, 3.0])
+        assert [s.cdf(x) for x in xs] == s.cdf_grid(xs).tolist()
+        assert s.cdf_grid(xs.reshape(5, 1)).shape == (5, 1)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    def test_small_alpha_against_monte_carlo(self, alpha):
+        # DKW: sup |ECDF - F| <= eps with probability 1 - 1e-6, and a
+        # subset of the order statistics can only lower the sup
+        n = 10 ** 6
+        lam = 1.3
+        x = np.sort(oracles.stable_sample_cms(alpha, lam, child_rng(SEED, 9), n))
+        assert not np.isnan(x).any()
+        idx = np.linspace(0, n - 1, 2001).astype(int)
+        F = SymmetricStable(alpha, lam).cdf_grid(x[idx])
+        dev = np.maximum((idx + 1) / n - F, F - idx / n)
+        eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
+        assert np.max(dev) <= eps
+
+    @given(st.floats(0.3, 2.0), st.floats(0.05, 20.0),
+           st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
+    @settings(max_examples=80, deadline=None)
+    def test_cdf_properties(self, alpha, lam, x1, x2):
+        s = SymmetricStable(alpha, lam)
+        lo, hi = sorted((x1, x2))
+        F = s.cdf_grid([lo, hi, -lo, -hi])
+        assert np.all((F >= 0.0) & (F <= 1.0))
+        # two points each within the 1e-9 contract
+        assert F[0] <= F[1] + 2e-9
+        assert F[0] + F[2] == pytest.approx(1.0, abs=1e-15)
+        assert F[1] + F[3] == pytest.approx(1.0, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
