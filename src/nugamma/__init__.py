@@ -32,7 +32,7 @@ from .diagnostics import (
     read_return_series,
     tail_ratio_curve,
 )
-from .dist import GaussExtremalMixture, SymmetricStable, SymmetrizedGamma, gamma_sample
+from .dist import GaussExtremalMixture, SymmetricStable, SymmetrizedGamma
 from .errors import DataError, FitError, IntegrationError, NuGammaError, OutOfRegimeError
 from .randsum import (
     Component,
@@ -55,7 +55,7 @@ __all__ = [
     "ReturnSeries", "TailReport", "TailReportConfig", "build_tail_report",
     "empirical_kurtosis", "exceedance_counts", "hill_estimate", "hill_experiment",
     "ks_critical_value", "ks_distance", "read_return_series", "tail_ratio_curve",
-    "GaussExtremalMixture", "SymmetricStable", "SymmetrizedGamma", "gamma_sample",
+    "GaussExtremalMixture", "SymmetricStable", "SymmetrizedGamma",
     "DataError", "FitError", "IntegrationError", "NuGammaError", "OutOfRegimeError",
     "Component", "NuFamily", "RandomSumConfig", "fit_stable_to_ecdf",
     "prelimit_experiment", "random_sum_draws", "random_sum_sample",

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -52,59 +54,66 @@ def _parse_cell(cell: str) -> float | None:
     return v if math.isfinite(v) else None
 
 
+def _nonblank(row: list[str]) -> bool:
+    return any(c.strip() for c in row)
+
+
 def read_return_series(path, column=None, *, strict: bool = False,
                        label: str | None = None) -> tuple[ReturnSeries, int]:
-    """Read one numeric column from a CSV file.
+    """Read one numeric column from a CSV file, in one pass over its rows.
 
-    A header row is detected by its cells not parsing as numbers.
-    ``column`` selects by integer index or by header name; by default the
-    first column whose first data cell parses numerically is used.  Rows
-    whose selected cell is missing or unparseable are skipped and
-    counted, unless ``strict`` aborts instead.  Returns the series and
-    the skipped-row count.
+    Blank lines are ignored; a header row is detected by its cells not
+    parsing as numbers.  ``column`` selects by integer index or by header
+    name; by default the first column whose first data cell parses
+    numerically is used.  Rows whose selected cell is missing or
+    unparseable are skipped and counted, unless ``strict`` aborts instead.
+    Returns the series and the skipped-row count.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
     with path.open(newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
-    if not rows:
-        raise DataError(f"empty file: {path}")
+        rows = csv.reader(fh)
+        first = next(filter(_nonblank, rows), None)
+        if first is None:
+            raise DataError(f"empty file: {path}")
 
-    header: list[str] | None = None
-    if all(_parse_cell(c) is None for c in rows[0] if c.strip()):
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    if not rows:
-        raise DataError("no data rows after header")
+        header: list[str] | None = None
+        if all(_parse_cell(c) is None for c in first if c.strip()):
+            header = [c.strip() for c in first]
+            first = next(filter(_nonblank, rows), None)
+            if first is None:
+                raise DataError("no data rows after header")
 
-    if isinstance(column, str) and not column.lstrip("-").isdigit():
-        if header is None or column not in header:
-            raise DataError(f"column {column!r} not found (no matching header)")
-        idx = header.index(column)
-    elif column is not None:
-        idx = int(column)
-        width = len(rows[0])
-        if not -width <= idx < width:
-            raise DataError(f"column index {idx} out of range")
-    else:
-        idx = next((j for j, c in enumerate(rows[0]) if _parse_cell(c) is not None), None)
-        if idx is None:
-            raise DataError("no numeric column found in first data row")
-
-    values, skipped = [], 0
-    for r in rows:
-        cell = r[idx] if -len(r) <= idx < len(r) else None
-        v = _parse_cell(cell) if cell is not None else None
-        if v is None:
-            if strict:
-                raise DataError(f"unparseable value in column {idx}: {cell!r}")
-            skipped += 1
+        if isinstance(column, str) and not column.lstrip("-").isdigit():
+            if header is None or column not in header:
+                raise DataError(f"column {column!r} not found (no matching header)")
+            idx = header.index(column)
+        elif column is not None:
+            idx = int(column)
+            if not -len(first) <= idx < len(first):
+                raise DataError(f"column index {idx} out of range")
         else:
-            values.append(v)
+            idx = next((j for j, c in enumerate(first) if _parse_cell(c) is not None), None)
+            if idx is None:
+                raise DataError("no numeric column found in first data row")
+
+        values, skipped = array("d"), 0
+        for r in chain((first,), rows):
+            try:
+                v = float(r[idx])
+            except (IndexError, ValueError):
+                v = math.nan
+            if math.isfinite(v):
+                values.append(v)
+            elif _nonblank(r):
+                if strict:
+                    cell = r[idx] if -len(r) <= idx < len(r) else None
+                    raise DataError(f"unparseable value in column {idx}: {cell!r}")
+                skipped += 1
     if not values:
         raise DataError(f"column {idx} contains no numeric data")
-    name = label or (header[idx] if header and idx < len(header) else f"col{idx}")
+    name = label or (header[idx] if header and -len(header) <= idx < len(header) else f"col{idx}")
     return ReturnSeries(np.array(values), label=name, source=str(path)), skipped
 
 

@@ -47,11 +47,11 @@ _GL_NODES, _GL_WEIGHTS = legendre.leggauss(_PANEL_NODES)
 _NODES_TO_LEGENDRE = (legendre.legvander(_GL_NODES, _PANEL_NODES - 1)
                       * (_GL_WEIGHTS[:, None] * (np.arange(_PANEL_NODES) + 0.5)))
 
-# table behind the scalar CDF views: 513 edges up to 50 gamma scales
-# sqrt(m); points beyond take their own adaptive tail integral
+# every CDF table has 513 panel edges; the one behind survival and cdf reaches
+# 50 gamma scales sqrt(m), and points beyond take their own adaptive tail integral
 _TABLE_POINTS = 513
 _TABLE_TOP_SCALES = 50.0
-_SPLIT_BLOCK = 65536  # points per table lookup in cdf_interpolator
+_SPLIT_BLOCK = 65536  # points per table lookup: at most 65536 x 8 temporaries
 
 # relative-only: survival beyond a table's top keeps its relative accuracy
 # however small it is
@@ -69,35 +69,23 @@ _STABLE_STEPS = np.concatenate((-np.sqrt(2.0) ** np.arange(23, -1, -1), [0.0],
 _STABLE_BLOCK = 256  # points per block: at most 256 x 1280 nodes
 
 
-def gamma_sample(shape: float, scale: float, rng: np.random.Generator, size=None):
-    """Gamma variates with the given shape and scale.
-
-    The generator's gamma method already uses the shape-boosting identity
-    G(a) = G(a+1) * U^(1/a) for a < 1, so small shapes like 1/100 are
-    sampled without rejection blow-up.
-    """
-    if not (shape > 0 and scale > 0):
-        raise ValueError("shape and scale must be positive")
-    return rng.gamma(shape, scale, size=size)
-
-
 class _CdfTable:
-    """F(x) - 1/2 and P{X > x} of one symmetrized gamma law, for x >= 0.
+    """P{X > x} of one symmetrized gamma law at every real x.
 
     Equal-width panels in u = ln x cover [_SERIES_CUTOFF, top].  On each
     panel x pdf(x) is replaced by its interpolant through the panel's
     Gauss-Legendre nodes, whose integral over the whole panel is the
     Gauss-Legendre value; a point inside a panel takes the interpolant's
-    integral up to the panel edge.  F - 1/2 is summed upward from the
-    small-x series at the cutoff.  P{X > x} is summed downward from one
-    adaptive integral beyond the top, so deep-tail values keep their
-    relative accuracy.  Points above the top get their own adaptive
-    tail integral.
+    integral up to the panel edge.  The table keeps one sum, downward
+    from one adaptive integral beyond the top, so deep-tail values keep
+    their relative accuracy.  Points below the cutoff take the small-x
+    series, and points above the top their own adaptive tail integral.
     """
 
-    def __init__(self, law: SymmetrizedGamma, top: float, panels: int) -> None:
+    def __init__(self, law: SymmetrizedGamma, top: float) -> None:
         self._law = law
         self._top = top
+        panels = _TABLE_POINTS - 1
         self._u0 = math.log(_SERIES_CUTOFF)
         self._h = (math.log(top) - self._u0) / panels
         mid = self._u0 + self._h * (np.arange(panels) + 0.5)
@@ -111,36 +99,33 @@ class _CdfTable:
         # per panel, tau -> integral of the interpolant from tau to the upper edge
         self._upper = -legendre.legint(coef, lbnd=1, axis=1)
         mass = 2.0 * coef[:, 0]
-        self._tail = self._tail_from(top)
-        self._below = law._cdf_series_delta(_SERIES_CUTOFF) + np.concatenate(
-            ([0.0], np.cumsum(mass)))
-        self._above = self._tail + np.concatenate((np.cumsum(mass[::-1])[::-1], [0.0]))
+        self._above = self._tail_from(top) + np.concatenate(
+            (np.cumsum(mass[::-1])[::-1], [0.0]))
 
     def _tail_from(self, x: float) -> float:
         val, _ = specfun.integrate(self._law.pdf, x, math.inf, _TAIL_SPEC)
         return val
 
-    def split(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(F(x) - 1/2, P{X > x}) for x >= 0, as arrays of at least one dimension."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        below = np.empty_like(x)
-        above = np.empty_like(x)
-        low = x <= _SERIES_CUTOFF
-        high = x > self._top
-        inside = ~(low | high)
-
-        t = (np.log(x[inside]) - self._u0) / self._h
-        k = np.minimum(t.astype(int), len(self._upper) - 1)
-        part = legendre.legval(2.0 * (t - k) - 1.0, self._upper[k].T, tensor=False)
-        below[inside] = self._below[k + 1] - part
-        above[inside] = self._above[k + 1] + part
-
-        below[low] = self._law._cdf_series_delta(x[low])
-        above[low] = 0.5 - below[low]
-
-        above[high] = [self._tail_from(v) for v in x[high]]
-        below[high] = self._below[-1] + (self._tail - above[high])
-        return below, above
+    def survival(self, x):
+        """P{X > x} elementwise, clipped to [0, 1]; a 0-d x gives a float."""
+        x = np.asarray(x, dtype=float)
+        ax = np.abs(x).ravel()
+        out = np.full_like(ax, np.nan)
+        for lo in range(0, ax.size, _SPLIT_BLOCK):
+            v = ax[lo:lo + _SPLIT_BLOCK]
+            block = out[lo:lo + _SPLIT_BLOCK]
+            low = v <= _SERIES_CUTOFF
+            high = v > self._top
+            inside = (v > _SERIES_CUTOFF) & (v <= self._top)
+            t = (np.log(v[inside]) - self._u0) / self._h
+            k = np.minimum(t.astype(int), len(self._upper) - 1)
+            block[inside] = self._above[k + 1] + legendre.legval(
+                2.0 * (t - k) - 1.0, self._upper[k].T, tensor=False)
+            block[low] = 0.5 - self._law._cdf_series_delta(v[low])
+            block[high] = [self._tail_from(u) for u in v[high]]
+        out = np.clip(out, 0.0, 1.0).reshape(x.shape)
+        out = np.where(x < 0.0, 1.0 - out, out)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -257,25 +242,14 @@ class SymmetrizedGamma:
 
     @cached_property
     def _cdf_table(self) -> _CdfTable:
-        return _CdfTable(self, _TABLE_TOP_SCALES * self.scale, _TABLE_POINTS - 1)
+        return _CdfTable(self, _TABLE_TOP_SCALES * self.scale)
 
-    def _central_integral(self, x: float) -> float:
-        """int_0^x pdf for x >= 0, summed upward from the small-x series."""
-        return float(self._cdf_table.split(x)[0][0])
+    def survival(self, x):
+        """P{X > x}, elementwise over x; absolute accuracy ~1e-9."""
+        return self._cdf_table.survival(x)
 
-    def _tail_integral(self, x: float) -> float:
-        """int_x^inf pdf for x >= 0, summed downward from the table top."""
-        return float(self._cdf_table.split(x)[1][0])
-
-    def survival(self, x: float) -> float:
-        """P{X > x}."""
-        x = float(x)
-        if x < 0.0:
-            return 1.0 - self.survival(-x)
-        return min(max(self._tail_integral(x), 0.0), 1.0)
-
-    def cdf(self, x: float) -> float:
-        """F(x) = 1 - F(-x), absolute accuracy ~1e-9."""
+    def cdf(self, x):
+        """F(x) = 1 - P{X > x}, elementwise over x; absolute accuracy ~1e-9."""
         return 1.0 - self.survival(x)
 
     def two_sided_exceed(self, k_sigmas: float, *, unit: str = "sigma") -> float:
@@ -306,29 +280,20 @@ class SymmetrizedGamma:
         """n i.i.d. draws of X = Y1 - Y2 (two gamma arrays, in that order)."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        y1 = gamma_sample(self.shape, self.scale, rng, size=n)
-        y2 = gamma_sample(self.shape, self.scale, rng, size=n)
+        y1 = rng.gamma(self.shape, self.scale, size=n)
+        y2 = rng.gamma(self.shape, self.scale, size=n)
         return y1 - y2
 
-    def cdf_interpolator(self, x_max: float, points: int = 2049):
-        """Vectorized CDF from a table of `points` panel edges up to ~x_max.
+    def cdf_interpolator(self, x_max: float):
+        """The vectorized CDF view of a table sized to x_max.
 
-        The same engine as the scalar views, on its own table; absolute
-        error is well under 1e-9 over [-x_max, x_max] and the adaptive
-        tail integral covers points beyond.  Intended for KS statistics
-        against large samples.
+        The same engine and resolution as :meth:`cdf`, with the table top
+        just past max(x_max, 1); absolute error is well under 1e-9 over
+        [-x_max, x_max] and the adaptive tail integral covers points
+        beyond.  Intended for KS statistics against large samples.
         """
-        table = _CdfTable(self, max(float(x_max), 1.0) * 1.0001, points - 1)
-
-        def F(xs):
-            xs = np.asarray(xs, dtype=float)
-            flat = np.abs(xs).ravel()
-            above = np.empty_like(flat)
-            for lo in range(0, flat.size, _SPLIT_BLOCK):
-                above[lo:lo + _SPLIT_BLOCK] = table.split(flat[lo:lo + _SPLIT_BLOCK])[1]
-            return 0.5 + np.sign(xs) * (0.5 - above.reshape(xs.shape))
-
-        return F
+        table = _CdfTable(self, max(float(x_max), 1.0) * 1.0001)
+        return lambda xs: 1.0 - table.survival(xs)
 
 
 @dataclass(frozen=True)
@@ -454,10 +419,6 @@ class GaussExtremalMixture:
     @property
     def rect_support(self) -> tuple[float, float]:
         return (self.mu - 1.5 * self.d, self.mu + 1.5 * self.d)
-
-    def exceed_probability(self) -> float:
-        """P{|X - mu| >= d} = 4 sigma^2 / (9 d^2), attained exactly."""
-        return 4.0 * self.sigma ** 2 / (9.0 * self.d ** 2)
 
     def sample(self, rng: np.random.Generator, n: int):
         """n draws; one uniform decides the branch, one the rectangle position."""

@@ -18,18 +18,25 @@ tautology:
   evaluates the Zolotarev integral instead.
 * ``stable_sample_cms``: Chambers-Mallows-Stuck draws of the symmetric
   stable law, for Monte Carlo checks where the inversion fails.
+* ``read_return_series_two_pass``: the CSV reader that holds every
+  non-blank row before parsing any; the package streams the rows in one
+  pass instead.
 
 Frozen dictionaries at the bottom were produced by exactly these
 functions; the slow ones are cross-checked live on a thin subsample in
 the test modules.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 
 from nugamma import specfun
+from nugamma.diagnostics import ReturnSeries
+from nugamma.errors import DataError
 from nugamma.specfun import QuadratureSpec
 
 
@@ -105,6 +112,69 @@ def stable_sample_cms(alpha, lam, rng, n):
         x = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
              * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
     return lam ** (1.0 / alpha) * x
+
+
+def _parse_cell_finite(cell):
+    try:
+        v = float(cell)
+    except (TypeError, ValueError):
+        return None
+    return v if math.isfinite(v) else None
+
+
+def read_return_series_two_pass(path, column=None, *, strict=False, label=None):
+    """The two-pass CSV reader: every non-blank row is read, then parsed.
+
+    A header row is detected by its cells not parsing as numbers.
+    ``column`` selects by integer index or by header name; by default the
+    first column whose first data cell parses numerically is used.  Rows
+    whose selected cell is missing or unparseable are skipped and
+    counted, unless ``strict`` aborts instead.  Returns the series and
+    the skipped-row count.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"no such file: {path}")
+    with path.open(newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+    if not rows:
+        raise DataError(f"empty file: {path}")
+
+    header: list[str] | None = None
+    if all(_parse_cell_finite(c) is None for c in rows[0] if c.strip()):
+        header = [c.strip() for c in rows[0]]
+        rows = rows[1:]
+    if not rows:
+        raise DataError("no data rows after header")
+
+    if isinstance(column, str) and not column.lstrip("-").isdigit():
+        if header is None or column not in header:
+            raise DataError(f"column {column!r} not found (no matching header)")
+        idx = header.index(column)
+    elif column is not None:
+        idx = int(column)
+        width = len(rows[0])
+        if not -width <= idx < width:
+            raise DataError(f"column index {idx} out of range")
+    else:
+        idx = next((j for j, c in enumerate(rows[0]) if _parse_cell_finite(c) is not None), None)
+        if idx is None:
+            raise DataError("no numeric column found in first data row")
+
+    values, skipped = [], 0
+    for r in rows:
+        cell = r[idx] if -len(r) <= idx < len(r) else None
+        v = _parse_cell_finite(cell) if cell is not None else None
+        if v is None:
+            if strict:
+                raise DataError(f"unparseable value in column {idx}: {cell!r}")
+            skipped += 1
+        else:
+            values.append(v)
+    if not values:
+        raise DataError(f"column {idx} contains no numeric data")
+    name = label or (header[idx] if header and -len(header) <= idx < len(header) else f"col{idx}")
+    return ReturnSeries(np.array(values), label=name, source=str(path)), skipped
 
 
 def log_gamma_mp(x, dps=30):

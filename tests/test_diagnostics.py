@@ -238,6 +238,31 @@ class TestKolmogorovSmirnov:
         assert ks_critical_value(10 ** 6, 0.01) == pytest.approx(1.6276 / 1000.0, rel=1e-3)
 
 
+# CSV text for the reader equivalence test: numbers with whitespace, signs
+# and exponents, non-finite and missing tokens, quoted cells holding
+# commas, short and blank rows, with or without a header row
+_NUMBER = st.builds(str.format, st.sampled_from(["{!r}", "{:.3e}", "{:+.2f}", " {} ", "{:E}\t"]),
+                    st.floats(allow_nan=False, allow_infinity=False, width=32))
+_TOKEN = st.sampled_from(["", "  ", "NA", "nan", "NaN", "-inf", "Infinity", "1e400", "abc",
+                          "ret", '"1,5"', '"2.5"', '" -3e-2 "', '"r,et"'])
+_ROW = st.lists(st.one_of(_NUMBER, _NUMBER, _TOKEN), max_size=4).map(",".join)  # 2:1 numbers
+_HEADER = st.lists(st.sampled_from(["t", "ret", " ret ", "x", '"r,et"', ""]),
+                   min_size=1, max_size=4).map(",".join)
+_CSV_TEXT = st.builds(lambda header, rows, eol: eol.join(header + rows) + eol,
+                      st.lists(_HEADER, max_size=1), st.lists(_ROW, min_size=2, max_size=16),
+                      st.sampled_from(["\n", "\r\n"]))
+_COLUMN = st.one_of(st.none(), st.sampled_from(["ret", "t", "r,et", "zz"]),
+                    st.integers(-3, 3), st.integers(-3, 3).map(str))
+
+
+def _read_outcome(reader, path, column, strict):
+    try:
+        series, skipped = reader(path, column, strict=strict)
+    except DataError as exc:
+        return str(exc)
+    return series.values.tolist(), skipped, series.label
+
+
 class TestReturnSeriesIngestion:
     def test_headered_named_column(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -289,11 +314,26 @@ class TestReturnSeriesIngestion:
         with pytest.raises(DataError):
             read_return_series(p, "y")
 
+    def test_negative_index_past_header_width(self, tmp_path):
+        p = tmp_path / "h.csv"
+        p.write_text("ret\n0.5,1.5\n2.5,3.5\n")
+        series, _ = read_return_series(p, -2)
+        np.testing.assert_allclose(series.values, [0.5, 2.5])
+        assert series.label == "col-2"
+
     def test_series_validation(self):
         with pytest.raises(DataError):
             ReturnSeries(np.array([1.0]))
         with pytest.raises(DataError):
             ReturnSeries(np.array([1.0, np.inf]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_CSV_TEXT, column=_COLUMN, strict=st.booleans())
+    def test_matches_two_pass_reference(self, tmp_path_factory, text, column, strict):
+        p = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+        p.write_bytes(text.encode())
+        assert (_read_outcome(read_return_series, p, column, strict)
+                == _read_outcome(oracles.read_return_series_two_pass, p, column, strict))
 
 
 class TestBuildTailReport:

@@ -6,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from nugamma.dist import (
-    GaussExtremalMixture,
-    SymmetricStable,
-    SymmetrizedGamma,
-    gamma_sample,
-)
+from nugamma import dist, specfun
+from nugamma.dist import GaussExtremalMixture, SymmetricStable, SymmetrizedGamma
 from nugamma.diagnostics import ks_critical_value, ks_distance
 from nugamma.errors import IntegrationError
 from nugamma.parallel import child_rng
@@ -109,12 +105,11 @@ class TestSymmetrizedGammaCdf:
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 10.0, 50.0, 100.0])
     def test_normalization(self, m):
-        # two independent quadratures of the density over (0, 5) and
-        # (5, inf); their sum hitting exactly 1/2 checks the normalizer
+        # two independent quadratures of the density: adaptive over (0, 5)
+        # and the table's survival at 5 must sum to exactly half the mass
         d = SymmetrizedGamma(m)
-        center = d._central_integral(5.0)
-        tail = d._tail_integral(5.0)
-        assert center + tail == pytest.approx(0.5, abs=1e-8)
+        center, _ = specfun.integrate(d.pdf, 0.0, 5.0)
+        assert center + d.survival(5.0) == pytest.approx(0.5, abs=1e-8)
 
     def test_monotone(self):
         d = SymmetrizedGamma(10.0)
@@ -123,8 +118,10 @@ class TestSymmetrizedGammaCdf:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_series_region_continuity(self):
-        # the small-x series and the quadrature route agree where both apply
-        for m in (1.0, 2.0, 50.0):
+        # the small-x series and the quadrature route agree where both
+        # apply; the quadrature sums the panel masses down from the adaptive
+        # tail, so agreement also checks that the density has total mass 1
+        for m in (0.5, 1.0, 2.0, 10.0, 50.0, 100.0):
             d = SymmetrizedGamma(m)
             x = 2e-6  # just above the series cutoff
             series_val = 0.5 + d._cdf_series_delta(x)
@@ -148,11 +145,41 @@ class TestSymmetrizedGammaCdf:
     def test_interpolator_matches_scalar(self):
         for m in (1.0, 2.0, 50.0):
             d = SymmetrizedGamma(m)
-            F = d.cdf_interpolator(12.0, points=801)
+            F = d.cdf_interpolator(12.0)
             xs = np.array([-8.0, -1.0, -1e-7, 0.0, 2e-7, 0.5, 3.3, 11.0])
             got = F(xs)
             want = np.array([d.cdf(x) for x in xs])
             np.testing.assert_allclose(got, want, atol=2e-8)
+
+    @pytest.mark.parametrize("m", [0.5, 2.0, 50.0])
+    def test_array_matches_scalar(self, m):
+        # negative, zero, series-region, panel and beyond-the-top points in
+        # one n-d call: bit for bit the scalar values, shape kept
+        d = SymmetrizedGamma(m)
+        top = d._cdf_table._top
+        xs = np.array([[-1.2 * top, -3.0, -1e-7, 0.0],
+                       [5e-7, 2e-6, 0.7, 1.1 * top]])
+        for view in (d.survival, d.cdf):
+            got = view(xs)
+            assert got.shape == xs.shape
+            want = np.array([view(float(x)) for x in xs.ravel()]).reshape(xs.shape)
+            assert np.array_equal(got, want)
+
+    def test_zero_dim_input_gives_float(self):
+        d = SymmetrizedGamma(10.0)
+        for view in (d.survival, d.cdf):
+            got = view(np.array(-1.5))
+            assert type(got) is float
+            assert got == view(-1.5)
+
+    def test_more_points_than_one_block(self):
+        d = SymmetrizedGamma(10.0)
+        n = dist._SPLIT_BLOCK + 1000
+        xs = np.linspace(-40.0, 40.0, n)
+        got = d.survival(xs)
+        picks = np.r_[0:n:997, dist._SPLIT_BLOCK - 1:dist._SPLIT_BLOCK + 2, n - 1]
+        want = np.array([d.survival(float(xs[i])) for i in picks])
+        assert np.array_equal(got[picks], want)
 
 
 class TestExceedProbabilities:
@@ -208,31 +235,6 @@ class TestMoments:
             d = SymmetrizedGamma(m)
             assert d.variance == 2.0
             assert d.sigma == math.sqrt(2.0)
-
-
-class TestGammaSampler:
-    def test_exponential_mean(self):
-        rng = child_rng(SEED, 1)
-        x = gamma_sample(1.0, 1.0, rng, size=10 ** 6)
-        assert x.mean() == pytest.approx(1.0, abs=0.005)
-
-    def test_small_shape_mean(self):
-        rng = child_rng(SEED, 2)
-        x = gamma_sample(0.1, math.sqrt(10.0), rng, size=10 ** 6)
-        se = math.sqrt(0.1 * 10.0 / 10 ** 6)
-        assert x.mean() == pytest.approx(0.1 * math.sqrt(10.0), abs=3 * se)
-
-    def test_variance(self):
-        rng = child_rng(SEED, 3)
-        x = gamma_sample(0.5, 2.0, rng, size=10 ** 6)
-        assert x.var() == pytest.approx(2.0, abs=0.03)
-
-    def test_bad_args(self):
-        rng = child_rng(SEED, 4)
-        with pytest.raises(ValueError):
-            gamma_sample(0.0, 1.0, rng)
-        with pytest.raises(ValueError):
-            gamma_sample(1.0, -1.0, rng)
 
 
 class TestSymmetrizedGammaSampler:
