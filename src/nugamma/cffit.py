@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import FitError
 
@@ -38,6 +37,19 @@ _METHODS = ("loglog-regression", "ls-cf")
 
 TABLE3_M = 20.0
 TABLE3_N_LIST = (1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    It exists only to keep that 0.25 s import out of ``import nugamma``
+    for commands that fit nothing.  ``randsum`` binds this same function,
+    and each module calls through its own name, so the two fits' optimizer
+    calls can be replaced (or counted) one module at a time.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -161,11 +161,12 @@ def hill_estimate(sample, k: int, *, tail: str = "abs") -> float:
     n = len(vals)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < {n}, got k={k}")
-    s = np.sort(vals, kind="stable")
-    threshold = s[-(k + 1)]
+    # only the top k+1 order statistics enter, so sort only those
+    top = np.sort(np.partition(vals, n - k - 1)[n - k - 1:])
+    threshold = top[0]
     if threshold <= 0.0:
         raise ValueError("Hill estimator needs at least k+1 strictly positive values")
-    return float(np.mean(np.log(s[-k:]) - math.log(threshold)))
+    return float(np.mean(np.log(top[1:]) - math.log(threshold)))
 
 
 def hill_k(rule: str, n: int) -> int:
@@ -274,8 +275,9 @@ _ANALYTIC_FLOOR = 1e-300
 def tail_ratio_curve(dist_or_sample, x_grid, factor: float = 1.5) -> list[tuple[float, float | None]]:
     """Points (x, P{X > x} / P{X > factor x}); None marks undefined points.
 
-    Accepts an object with a ``survival`` method, a bare survival
-    callable, or a sample array (strict empirical survival #{v > x}/n).
+    Accepts an object with an elementwise ``survival`` method, a bare
+    scalar survival callable, or a sample array (strict empirical
+    survival #{v > x}/n); each side of the ratio is one call on the grid.
     A point is undefined when the denominator is 0 (empirical) or below
     the analytic floor.
     """
@@ -288,22 +290,18 @@ def tail_ratio_curve(dist_or_sample, x_grid, factor: float = 1.5) -> list[tuple[
     if hasattr(dist_or_sample, "survival"):
         surv = dist_or_sample.survival
     elif callable(dist_or_sample):
-        surv = dist_or_sample
+        surv = np.vectorize(dist_or_sample, otypes=[float])
     else:
         data = np.sort(np.asarray(dist_or_sample, dtype=float))
         n = len(data)
 
-        def surv(x: float) -> float:
+        def surv(x: np.ndarray) -> np.ndarray:
             return (n - np.searchsorted(data, x, side="right")) / n
 
-    out: list[tuple[float, float | None]] = []
-    for x in xs:
-        den = float(surv(factor * x))
-        if den <= _ANALYTIC_FLOOR:
-            out.append((float(x), None))
-        else:
-            out.append((float(x), float(surv(float(x))) / den))
-    return out
+    num = np.asarray(surv(xs), dtype=float).tolist()
+    den = np.asarray(surv(factor * xs), dtype=float).tolist()
+    return [(x, None if d <= _ANALYTIC_FLOOR else s / d)
+            for x, s, d in zip(xs.tolist(), num, den)]
 
 
 # ----------------------------------------------------------------------

@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
+from .cffit import minimize
 from .diagnostics import ks_distance
 from .dist import SymmetrizedGamma
 from .errors import FitError
@@ -41,6 +41,10 @@ from .parallel import chunked_draws
 
 ECDF_GRID_POINTS = 512
 ECDF_CENTRAL_SPAN = 0.999
+
+# summands summed in closed form: O(1) draws per replicate, so their
+# stages need no draw budget and no process pool
+CLOSED_FORM_KINDS = ("sg", "normal", "zero")
 
 # summands drawn one by one (uniform) cost one draw each: a stage whose
 # expected count, replicates / p, exceeds this is refused before drawing
@@ -168,8 +172,8 @@ def _sums_chunk(rng: np.random.Generator, k: int, family: NuFamily,
 
 
 def _check_draw_budget(config: RandomSumConfig) -> None:
-    if config.component.kind in ("sg", "normal", "zero"):
-        return  # O(1) draws per replicate
+    if config.component.kind in CLOSED_FORM_KINDS:
+        return
     expected = config.replicates / config.family.p
     if expected > MAX_EXPECTED_SUMMANDS:
         raise ValueError(
@@ -180,6 +184,8 @@ def _check_draw_budget(config: RandomSumConfig) -> None:
 def random_sum_draws(config: RandomSumConfig, *, stage: int = 0, workers: int = 1) -> np.ndarray:
     """All replicates, one child stream per (stage, chunk index)."""
     _check_draw_budget(config)
+    if config.component.kind in CLOSED_FORM_KINDS:
+        workers = 1  # the streams, and so the draws, do not depend on it
     return chunked_draws(_sums_chunk, (config.family, config.component),
                          config.replicates, config.seed, (stage,), workers)
 

@@ -78,6 +78,25 @@ class TestHillEstimate:
         with pytest.raises(ValueError):
             hill_estimate(sample, 4)
 
+    @given(st.lists(st.sampled_from([-3.0, -0.5, 0.0, 0.5, 1.0, 2.0, 2.0, 7.25]), min_size=2,
+                    max_size=60) | st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_sort_reference(self, values, data):
+        # few distinct values put ties at the threshold X_(n-k); k = n-1
+        # reaches down to the smallest value
+        sample = np.array(values)
+        k = data.draw(st.sampled_from([1, len(values) - 1])
+                      | st.integers(1, len(values) - 1), label="k")
+        for tail in ("abs", "positive"):
+            try:
+                expect = oracles.hill_estimate_full_sort(sample, k, tail)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    hill_estimate(sample, k, tail=tail)
+                continue
+            assert hill_estimate(sample, k, tail=tail) == expect
+
 
 class TestHillK:
     def test_reference_sizes(self):
@@ -208,6 +227,13 @@ class TestTailRatioCurve:
         d = SymmetrizedGamma(50.0)
         curve = tail_ratio_curve(d, np.linspace(1.0, 50.0, 25), 1.5)
         assert all(r >= 1.0 for _, r in curve if r is not None)
+
+    def test_equals_pointwise_survival(self):
+        # one array call per side gives the per-point scalar ratios exactly
+        d = SymmetrizedGamma(10.0)
+        xs = np.linspace(0.2, 60.0, 40)
+        expect = [(float(x), d.survival(float(x)) / d.survival(1.5 * x)) for x in xs]
+        assert tail_ratio_curve(d, xs, 1.5) == expect
 
     def test_empirical_survival_strict(self):
         sample = np.array([1.0, 2.0, 3.0, 4.0])

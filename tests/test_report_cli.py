@@ -142,12 +142,32 @@ class TestExitCodes:
         assert "did not converge" in capsys.readouterr().err
 
     def test_import_skips_scipy_stats_and_interpolate(self):
+        # nor scipy.integrate and scipy.optimize, which load on first use
         src = os.path.dirname(os.path.dirname(nugamma.__file__))
-        code = ("import sys, nugamma.cli; print(sorted(m for m in sys.modules "
-                "if m.startswith(('scipy.stats', 'scipy.interpolate'))))")
+        code = ("import sys, nugamma.cli; print(sorted(m for m in sys.modules if m.startswith("
+                "('scipy.stats', 'scipy.interpolate', 'scipy.integrate', 'scipy.optimize'))))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
         assert out.stdout.strip() == "[]"
+
+    def test_commands_without_quadrature_or_fits_skip_their_imports(self, tmp_path):
+        csv_path = tmp_path / "r.csv"
+        cells = map(repr, np.linspace(-3.0, 3.0, 200).tolist())
+        csv_path.write_text("ret\n" + "\n".join(cells) + "\n")
+        commands = [["bounds"], ["audit", str(csv_path)], ["hill", "--sims", "2", "--n", "500"]]
+        code = (
+            "import io, sys, contextlib\n"
+            "from nugamma.cli import run\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = run(argv)\n"
+            "    print(argv[0], code, sorted(m for m in sys.modules\n"
+            "          if m.startswith(('scipy.integrate', 'scipy.optimize'))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(nugamma.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
+        assert out.stdout.splitlines() == ["bounds 0 []", "audit 0 []", "hill 0 []"]
 
 
 class TestTable1Command:
