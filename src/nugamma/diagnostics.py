@@ -5,6 +5,7 @@ counts, tail-ratio curves and the aggregated report over a return series.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -12,7 +13,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from scipy import special as _sci_special
 
 from .errors import DataError
 from .parallel import child_rng, run_tasks
@@ -46,6 +46,19 @@ class ReturnSeries:
             raise DataError("return series values must all be finite")
 
 
+# cells that count as data, never as a header name, besides every string
+# float() accepts (nan and inf included)
+MISSING_MARKERS = frozenset({"NA"})
+
+# after the first data row, the file is read in blocks of this many
+# characters, cut at their last newline, and the selected cells are
+# converted this many rows at a time; a chunk holding a short row or a
+# cell float() rejects is parsed again row by row.  Larger blocks raise
+# audit's peak memory and gain nothing.
+CSV_BLOCK = 1 << 16
+CSV_CHUNK = 8192
+
+
 def _parse_cell(cell: str) -> float | None:
     try:
         v = float(cell)
@@ -54,20 +67,101 @@ def _parse_cell(cell: str) -> float | None:
     return v if math.isfinite(v) else None
 
 
+def _is_data(cell: str) -> bool:
+    if cell.strip() in MISSING_MARKERS:
+        return True
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _nonblank(row: list[str]) -> bool:
     return any(c.strip() for c in row)
 
 
+def _unparseable(idx: int, cell: str | None) -> DataError:
+    return DataError(f"unparseable value in column {idx}: {cell!r}")
+
+
+def _take_rows(rows, idx: int, strict: bool, values: array) -> int:
+    """Append each row's cell idx to values when it is a finite number;
+    returns the count of non-blank rows skipped."""
+    skipped = 0
+    for r in rows:
+        try:
+            v = float(r[idx])
+        except (IndexError, ValueError):
+            v = math.nan
+        if math.isfinite(v):
+            values.append(v)
+        elif _nonblank(r):
+            if strict:
+                raise _unparseable(idx, r[idx] if -len(r) <= idx < len(r) else None)
+            skipped += 1
+    return skipped
+
+
+def _take_lines(lines: list[str], idx: int, strict: bool, values: array) -> int:
+    """:func:`_take_rows` over lines holding no quote or carriage return,
+    one ``float`` conversion per chunk of CSV_CHUNK lines."""
+    skipped = 0
+    for lo in range(0, len(lines), CSV_CHUNK):
+        chunk = lines[lo:lo + CSV_CHUNK]
+        try:
+            cells = [ln.split(",")[idx] for ln in chunk]
+            # into a fresh array: values.extend would keep the cells before a bad one
+            vals = array("d", map(float, cells))
+        except (IndexError, ValueError):
+            skipped += _take_rows([ln.split(",") for ln in chunk], idx, strict, values)
+            continue
+        arr = np.frombuffer(vals)
+        finite = np.isfinite(arr)
+        if finite.all():
+            values.extend(vals)
+            continue
+        if strict:
+            raise _unparseable(idx, cells[int(np.argmin(finite))])
+        skipped += len(arr) - int(np.count_nonzero(finite))
+        values.frombytes(arr[finite].tobytes())
+    return skipped
+
+
+def _take_rest(fh, idx: int, strict: bool, values: array) -> int:
+    """:func:`_take_rows` over the rest of ``fh``: blocks of CSV_BLOCK
+    characters, cut at their last newline, go to :func:`_take_lines` until
+    one holds a quote or a carriage return; ``csv.reader`` parses the rest."""
+    skipped, carry = 0, ""
+    while block := fh.read(CSV_BLOCK):
+        if '"' in block or "\r" in block:
+            # carry + block + the rest of its last line: whole lines, as csv reads them
+            head = io.StringIO(carry + block + fh.readline(), newline="")
+            return skipped + _take_rows(csv.reader(chain(head, fh)), idx, strict, values)
+        lines = (carry + block).split("\n")
+        carry = lines.pop()  # the last line, unless the block ends with a newline
+        skipped += _take_lines(lines, idx, strict, values)
+    return skipped + _take_lines([carry] if carry else [], idx, strict, values)
+
+
 def read_return_series(path, column=None, *, strict: bool = False,
                        label: str | None = None) -> tuple[ReturnSeries, int]:
-    """Read one numeric column from a CSV file, in one pass over its rows.
+    """Read one numeric column from a CSV file, in one pass.
 
-    Blank lines are ignored; a header row is detected by its cells not
-    parsing as numbers.  ``column`` selects by integer index or by header
-    name; by default the first column whose first data cell parses
-    numerically is used.  Rows whose selected cell is missing or
-    unparseable are skipped and counted, unless ``strict`` aborts instead.
+    Blank lines are ignored.  The first non-blank row is a header when
+    none of its cells is data; a cell is data when ``float()`` accepts it
+    (``nan`` and ``inf`` included) or when it is a missing marker of
+    ``MISSING_MARKERS`` (``NA``).  ``column`` selects by integer index or
+    by header name; by default it is the first column whose first data
+    cell is a finite number or, when there is none, the first whose cell
+    is data.  Rows whose selected cell is missing, unparseable or not
+    finite are skipped and counted, unless ``strict`` aborts instead.
     Returns the series and the skipped-row count.
+
+    ``csv.reader`` reads the header and the first data row.  The rest is
+    read in blocks of ``CSV_BLOCK`` characters, each line's cell taken as
+    ``line.split(",")[column]``, until a block holds a quote or a carriage
+    return; from there ``csv.reader`` reads the rest of the file.
     """
     path = Path(path)
     if not path.is_file():
@@ -79,7 +173,7 @@ def read_return_series(path, column=None, *, strict: bool = False,
             raise DataError(f"empty file: {path}")
 
         header: list[str] | None = None
-        if all(_parse_cell(c) is None for c in first if c.strip()):
+        if not any(_is_data(c) for c in first if c.strip()):
             header = [c.strip() for c in first]
             first = next(filter(_nonblank, rows), None)
             if first is None:
@@ -94,23 +188,14 @@ def read_return_series(path, column=None, *, strict: bool = False,
             if not -len(first) <= idx < len(first):
                 raise DataError(f"column index {idx} out of range")
         else:
-            idx = next((j for j, c in enumerate(first) if _parse_cell(c) is not None), None)
+            idx = next((j for j, c in enumerate(first) if _parse_cell(c) is not None),
+                       next((j for j, c in enumerate(first) if _is_data(c)), None))
             if idx is None:
                 raise DataError("no numeric column found in first data row")
 
-        values, skipped = array("d"), 0
-        for r in chain((first,), rows):
-            try:
-                v = float(r[idx])
-            except (IndexError, ValueError):
-                v = math.nan
-            if math.isfinite(v):
-                values.append(v)
-            elif _nonblank(r):
-                if strict:
-                    cell = r[idx] if -len(r) <= idx < len(r) else None
-                    raise DataError(f"unparseable value in column {idx}: {cell!r}")
-                skipped += 1
+        values = array("d")
+        skipped = _take_rows((first,), idx, strict, values)
+        skipped += _take_rest(fh, idx, strict, values)
     if not values:
         raise DataError(f"column {idx} contains no numeric data")
     name = label or (header[idx] if header and -len(header) <= idx < len(header) else f"col{idx}")
@@ -133,7 +218,9 @@ def ks_distance(sample, cdf) -> float:
 
 def ks_critical_value(n: int, level: float = 0.01) -> float:
     """Asymptotic critical value c(level)/sqrt(n) of the KS statistic."""
-    return float(_sci_special.kolmogi(level) / math.sqrt(n))
+    from scipy.special import kolmogi
+
+    return float(kolmogi(level) / math.sqrt(n))
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +333,8 @@ def exceedance_counts(sample, k_sigmas_list) -> list[ExceedanceRow]:
     the normal expectation uses the two-sided tail 2 Phi-bar(k) and the
     unimodal-bound expectation uses 4 / (9 k^2) where valid.
     """
+    from scipy.special import erfc
+
     x = np.asarray(sample, dtype=float)
     mu = float(x.mean())
     sigma = float(x.std())
@@ -259,7 +348,7 @@ def exceedance_counts(sample, k_sigmas_list) -> list[ExceedanceRow]:
         if k <= 0:
             raise ValueError("k_sigmas must be positive")
         observed = int(np.count_nonzero(dev > k * sigma))
-        expected_normal = n * float(_sci_special.erfc(k / math.sqrt(2.0)))
+        expected_normal = n * float(erfc(k / math.sqrt(2.0)))
         gauss = n * 4.0 / (9.0 * k * k) if k * k >= 4.0 / 3.0 else None
         rows.append(ExceedanceRow(k, observed, expected_normal, gauss))
     return rows

@@ -247,15 +247,16 @@ def prelimit_experiment(m: int, n: int, replicates: int, exponent_alpha: float,
 
     By gamma additivity such a sum has exactly the law sqrt(n) SG(m/n),
     so each replicate costs two gamma draws whatever n is; chunk c of
-    the replicates draws from the stream (seed, c).
+    the replicates draws from the stream (seed, c).  That is too little
+    work for a process pool, so ``workers`` is ignored, as for the
+    closed-form kinds of :func:`random_sum_draws`.
     """
     if n < 1 or replicates < 1:
         raise ValueError("n and replicates must be >= 1")
     if not 0.0 < exponent_alpha <= 2.0:
         raise ValueError(f"exponent_alpha must be in (0, 2], got {exponent_alpha}")
     scale = float(n) ** (1.0 / exponent_alpha)
-    sums = chunked_draws(_prelimit_chunk, (m / n, math.sqrt(n) / scale),
-                         replicates, seed, (), workers)
+    sums = chunked_draws(_prelimit_chunk, (m / n, math.sqrt(n) / scale), replicates, seed, ())
     grid = evaluation_grid(sums)
     return PrelimitResult(sums=sums, grid=grid, ecdf=ecdf_values(sums, grid))
 

@@ -19,8 +19,8 @@ tautology:
 * ``stable_sample_cms``: Chambers-Mallows-Stuck draws of the symmetric
   stable law, for Monte Carlo checks where the inversion fails.
 * ``read_return_series_two_pass``: the CSV reader that holds every
-  non-blank row before parsing any; the package streams the rows in one
-  pass instead.
+  non-blank row before parsing any, each through ``csv.reader``; the
+  package reads the rows in one pass, splitting unquoted lines itself.
 * ``hill_estimate_full_sort``: the Hill estimator over a stable sort of
   every value; the package partitions and sorts only the top k+1.
 
@@ -37,7 +37,7 @@ import mpmath as mp
 import numpy as np
 
 from nugamma import specfun
-from nugamma.diagnostics import ReturnSeries
+from nugamma.diagnostics import MISSING_MARKERS, ReturnSeries
 from nugamma.errors import DataError
 from nugamma.specfun import QuadratureSpec
 
@@ -124,12 +124,25 @@ def _parse_cell_finite(cell):
     return v if math.isfinite(v) else None
 
 
+def _is_data_cell(cell):
+    # float() accepts it (nan and inf included), or it marks a missing value
+    if cell.strip() in MISSING_MARKERS:
+        return True
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_return_series_two_pass(path, column=None, *, strict=False, label=None):
     """The two-pass CSV reader: every non-blank row is read, then parsed.
 
-    A header row is detected by its cells not parsing as numbers.
+    The first row is a header when none of its non-blank cells is data:
+    a number ``float()`` accepts or a missing marker (``NA``).
     ``column`` selects by integer index or by header name; by default the
-    first column whose first data cell parses numerically is used.  Rows
+    first column whose first data cell is a finite number is used, or
+    failing that the first whose cell is data.  Rows
     whose selected cell is missing or unparseable are skipped and
     counted, unless ``strict`` aborts instead.  Returns the series and
     the skipped-row count.
@@ -143,7 +156,7 @@ def read_return_series_two_pass(path, column=None, *, strict=False, label=None):
         raise DataError(f"empty file: {path}")
 
     header: list[str] | None = None
-    if all(_parse_cell_finite(c) is None for c in rows[0] if c.strip()):
+    if not any(_is_data_cell(c) for c in rows[0] if c.strip()):
         header = [c.strip() for c in rows[0]]
         rows = rows[1:]
     if not rows:
@@ -159,7 +172,9 @@ def read_return_series_two_pass(path, column=None, *, strict=False, label=None):
         if not -width <= idx < width:
             raise DataError(f"column index {idx} out of range")
     else:
-        idx = next((j for j, c in enumerate(rows[0]) if _parse_cell_finite(c) is not None), None)
+        numeric = [j for j, c in enumerate(rows[0]) if _parse_cell_finite(c) is not None]
+        data = [j for j, c in enumerate(rows[0]) if _is_data_cell(c)]
+        idx = (numeric or data or [None])[0]
         if idx is None:
             raise DataError("no numeric column found in first data row")
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nugamma import diagnostics
 from nugamma.diagnostics import (
     ReturnSeries,
     build_tail_report,
@@ -281,6 +282,18 @@ _COLUMN = st.one_of(st.none(), st.sampled_from(["ret", "t", "r,et", "zz"]),
                     st.integers(-3, 3), st.integers(-3, 3).map(str))
 
 
+# unquoted CSV text for the block path: cells float() accepts or rejects,
+# with whitespace, signs, exponents and underscores, missing and empty
+# cells, short and blank lines, and a last line with or without a newline
+_PLAIN_CELL = st.one_of(_NUMBER, st.sampled_from(
+    ["", "  ", "NA", " NA ", "nan", "-inf", "inf", "1_0", " -1_0.5e1_0 ", "+.5", "1e400",
+     "1e-400", "abc", "_1", "1__0"]))
+_PLAIN_ROW = st.lists(_PLAIN_CELL, max_size=4).map(",".join)
+_PLAIN_ROWS = st.lists(_PLAIN_ROW, max_size=24)
+# what makes the reader hand the rest of the file to csv.reader
+_CSV_ONLY_ROW = st.sampled_from(['"1,5"', '2,"3.5"', '" -3e-2 ",1', '"NA"', 'x"y'])
+
+
 def _read_outcome(reader, path, column, strict):
     try:
         series, skipped = reader(path, column, strict=strict)
@@ -340,6 +353,19 @@ class TestReturnSeriesIngestion:
         with pytest.raises(DataError):
             read_return_series(p, "y")
 
+    @pytest.mark.parametrize("text, values, skipped, label", [
+        ("NA\n1.0\n2.0\n", [1.0, 2.0], 1, "col0"),
+        ("nan\n1.0\n2.0\n", [1.0, 2.0], 1, "col0"),
+        (",NA\n1,2\n3,4\n", [2.0, 4.0], 1, "col1"),
+        ("t,ret\n0,NA\n1,2.5\n", [0.0, 1.0], 0, "t"),  # a real header stays one
+        ("x\nNA\n1\n2\n", [1.0, 2.0], 1, "x"),
+    ])
+    def test_missing_first_row_is_data(self, tmp_path, text, values, skipped, label):
+        p = tmp_path / "na.csv"
+        p.write_text(text)
+        for reader in (read_return_series, oracles.read_return_series_two_pass):
+            assert _read_outcome(reader, p, None, False) == (values, skipped, label)
+
     def test_negative_index_past_header_width(self, tmp_path):
         p = tmp_path / "h.csv"
         p.write_text("ret\n0.5,1.5\n2.5,3.5\n")
@@ -360,6 +386,59 @@ class TestReturnSeriesIngestion:
         p.write_bytes(text.encode())
         assert (_read_outcome(read_return_series, p, column, strict)
                 == _read_outcome(oracles.read_return_series_two_pass, p, column, strict))
+
+
+class TestBlockPath:
+    """The block path against the csv.reader reference, with blocks and
+    chunks shrunk so that a small file spans many of each."""
+
+    @staticmethod
+    def _compare(path, column, strict, block, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagnostics, "CSV_BLOCK", block)
+            mp.setattr(diagnostics, "CSV_CHUNK", chunk)
+            got = _read_outcome(read_return_series, path, column, strict)
+        assert got == _read_outcome(oracles.read_return_series_two_pass, path, column, strict)
+
+    @settings(max_examples=300, deadline=None)
+    @given(header=st.lists(_HEADER.filter(lambda h: '"' not in h), max_size=1),
+           rows=st.lists(_PLAIN_ROW, min_size=1, max_size=40), last_eol=st.booleans(),
+           column=_COLUMN, strict=st.booleans(),
+           block=st.sampled_from([1, 2, 5, 16, 64]), chunk=st.sampled_from([1, 3, 8192]))
+    def test_matches_csv_reader(self, tmp_path_factory, header, rows, last_eol, column,
+                                strict, block, chunk):
+        p = tmp_path_factory.getbasetemp() / "block.csv"
+        p.write_bytes(("\n".join(header + rows) + ("\n" if last_eol else "")).encode())
+        self._compare(p, column, strict, block, chunk)
+
+    @settings(max_examples=200, deadline=None)
+    @given(before=st.lists(_PLAIN_ROW, min_size=1, max_size=20), special=_CSV_ONLY_ROW,
+           after=_PLAIN_ROWS, crlf=st.booleans(), column=_COLUMN, strict=st.booleans(),
+           block=st.sampled_from([1, 3, 16]), chunk=st.sampled_from([1, 4]))
+    def test_quote_or_carriage_return_mid_file(self, tmp_path_factory, before, special, after,
+                                               crlf, column, strict, block, chunk):
+        # the quoted row, or CRLF line ends from there on, first appear mid-file
+        tail = "\r\n".join(after) if crlf else "\n".join([special] + after)
+        p = tmp_path_factory.getbasetemp() / "mid.csv"
+        p.write_bytes(("t,ret\n" + "\n".join(before) + "\n" + tail + "\n").encode())
+        self._compare(p, column, strict, block, chunk)
+
+    @pytest.mark.parametrize("bad, first", [
+        ("1\n2\ninf\nabc\n5\n", "'inf'"),    # non-finite first: the numpy filter
+        ("1\n2\nabc\ninf\n5\n", "'abc'"),    # unparseable first: the row-by-row pass
+        ("1,1\n2,2\n3\n4,inf\n", "None"),    # a short row, no cell at all
+    ])
+    def test_strict_names_first_bad_cell(self, tmp_path, monkeypatch, bad, first):
+        monkeypatch.setattr(diagnostics, "CSV_CHUNK", 8)
+        monkeypatch.setattr(diagnostics, "CSV_BLOCK", 6)
+        p = tmp_path / "s.csv"
+        p.write_text("x,y\n" + bad)
+        column = 1 if "," in bad else 0
+        with pytest.raises(DataError) as exc:
+            read_return_series(p, column, strict=True)
+        assert str(exc.value) == f"unparseable value in column {column}: {first}"
+        assert str(exc.value) == _read_outcome(oracles.read_return_series_two_pass, p,
+                                               column, True)
 
 
 class TestBuildTailReport:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nugamma
-from nugamma import cli, randsum
+from nugamma import cli, parallel, randsum
 from nugamma.cli import run
 from nugamma.dist import SymmetrizedGamma
 from nugamma.parallel import child_rng
@@ -142,10 +142,10 @@ class TestExitCodes:
         assert "did not converge" in capsys.readouterr().err
 
     def test_import_skips_scipy_stats_and_interpolate(self):
-        # nor scipy.integrate and scipy.optimize, which load on first use
+        # nor any other scipy module: each loads where it is first used
         src = os.path.dirname(os.path.dirname(nugamma.__file__))
-        code = ("import sys, nugamma.cli; print(sorted(m for m in sys.modules if m.startswith("
-                "('scipy.stats', 'scipy.interpolate', 'scipy.integrate', 'scipy.optimize'))))")
+        code = ("import sys, nugamma.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
         assert out.stdout.strip() == "[]"
@@ -154,20 +154,22 @@ class TestExitCodes:
         csv_path = tmp_path / "r.csv"
         cells = map(repr, np.linspace(-3.0, 3.0, 200).tolist())
         csv_path.write_text("ret\n" + "\n".join(cells) + "\n")
-        commands = [["bounds"], ["audit", str(csv_path)], ["hill", "--sims", "2", "--n", "500"]]
+        # audit last: it needs scipy.special, which stays loaded
+        commands = [["bounds"], ["hill", "--sims", "2", "--n", "500"], ["audit", str(csv_path)]]
         code = (
             "import io, sys, contextlib\n"
             "from nugamma.cli import run\n"
             f"for argv in {commands!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = run(argv)\n"
-            "    print(argv[0], code, sorted(m for m in sys.modules\n"
-            "          if m.startswith(('scipy.integrate', 'scipy.optimize'))))\n"
+            "    print(argv[0], code, [p for p in ('scipy.integrate', 'scipy.optimize',\n"
+            "                                      'scipy.special') if p in sys.modules])\n"
         )
         src = os.path.dirname(os.path.dirname(nugamma.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
-        assert out.stdout.splitlines() == ["bounds 0 []", "audit 0 []", "hill 0 []"]
+        assert out.stdout.splitlines() == ["bounds 0 []", "hill 0 []",
+                                           "audit 0 ['scipy.special']"]
 
 
 class TestTable1Command:
@@ -339,4 +341,15 @@ class TestDeterminismAcrossWorkers:
     def test_payload_bytes_identical(self, tmp_path, args):
         a = _run_json(tmp_path, args + ["--workers", "1"], "w1.json")
         b = _run_json(tmp_path, args + ["--workers", "3"], "w3.json")
+        assert json.dumps(a["payload"]) == json.dumps(b["payload"])
+
+    def test_fig2_runs_in_process(self, tmp_path, monkeypatch):
+        # O(1) work per replicate: no pool, whatever --workers says
+        def no_pool(*args, **kwargs):
+            raise AssertionError("fig2 started a process pool")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        args = ["fig2", "--reps", "10500", "--n", "300"]  # > 2.5 chunks
+        a = _run_json(tmp_path, args + ["--workers", "1"], "w1.json")
+        b = _run_json(tmp_path, args + ["--workers", "2"], "w2.json")
         assert json.dumps(a["payload"]) == json.dumps(b["payload"])
