@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dist import SymmetrizedGamma
 from .errors import FitError
 
 DEFAULT_METHOD = "ls-cf"
@@ -39,17 +40,19 @@ TABLE3_M = 20.0
 TABLE3_N_LIST = (1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call.
+def minimize(objective, start, *, bounds):
+    """Bounded Nelder-Mead of both stable fits: iteration cap 500, xatol =
+    fatol = 1e-10; returns scipy's ``OptimizeResult``.
 
-    It exists only to keep that 0.25 s import out of ``import nugamma``
-    for commands that fit nothing.  ``randsum`` binds this same function,
-    and each module calls through its own name, so the two fits' optimizer
-    calls can be replaced (or counted) one module at a time.
+    scipy.optimize loads on the first call, keeping that 0.25 s import out
+    of ``import nugamma``.  ``randsum`` binds this same function, and each
+    module calls through its own name, so the two fits' optimizer calls
+    can be replaced (or counted) one module at a time.
     """
     from scipy.optimize import minimize as scipy_minimize
 
-    return scipy_minimize(*args, **kwargs)
+    return scipy_minimize(objective, start, method="Nelder-Mead", bounds=bounds,
+                          options={"maxiter": 500, "xatol": 1e-10, "fatol": 1e-10})
 
 
 @dataclass(frozen=True)
@@ -92,10 +95,7 @@ def sum_cf(m: float, n: int, t) -> float | np.ndarray:
     """CF of the standardized n-fold sum: f(t, m/n) = (1 + (m/n) t^2)^(-n/m)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    m_eff = m / n
-    t = np.asarray(t, dtype=float)
-    out = (1.0 + m_eff * t * t) ** (-1.0 / m_eff)
-    return float(out) if out.ndim == 0 else out
+    return SymmetrizedGamma(m / n).cf(t)
 
 
 def verify_sandwich(m_eff: float, alpha: float, lam: float, window: FitWindow) -> SandwichCheck:
@@ -158,8 +158,8 @@ def fit_stable_cf_values(cf, window: FitWindow, method: str = DEFAULT_METHOD) ->
     loglog-regression: OLS of ln(-ln f) on ln t over the log-spaced grid;
     exact for a pure stable CF.  ls-cf: bounded Nelder-Mead on the sum of
     squared CF differences over the linearly spaced grid, started from
-    the regression; deterministic, iteration cap 500, tolerance 1e-10.
-    Raises FitError when Nelder-Mead does not converge.
+    the regression (see :func:`minimize`).  Raises FitError when
+    Nelder-Mead does not converge.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}")
@@ -176,11 +176,7 @@ def fit_stable_cf_values(cf, window: FitWindow, method: str = DEFAULT_METHOD) ->
         return float(np.sum((fvals - np.exp(-lam * ts ** a)) ** 2))
 
     start = (min(max(alpha0, 0.1), 1.99), min(max(lam0, 1e-6), 50.0))
-    res = minimize(
-        objective, start, method="Nelder-Mead",
-        bounds=[(0.05, 2.0), (1e-8, 100.0)],
-        options={"maxiter": 500, "xatol": 1e-10, "fatol": 1e-10},
-    )
+    res = minimize(objective, start, bounds=[(0.05, 2.0), (1e-8, 100.0)])
     if not res.success:
         raise FitError(f"Nelder-Mead did not converge: {res.message}")
     return StableFit(alpha=float(res.x[0]), lam=float(res.x[1]),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -104,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mean Hill estimate for k = sqrt(n), n^(2/3), n^(4/5)")
     q.add_argument("--m", type=float, default=10.0)
     q.add_argument("--n", type=int, default=10000)
-    q.add_argument("--sims", type=int, default=100)
+    q.add_argument("--sims", type=_count, default=100)
     q.add_argument("--tail", choices=("positive", "abs"), default=diagnostics.DEFAULT_HILL_TAIL)
 
     q = sub.add_parser("bounds", parents=[common],
@@ -218,8 +219,7 @@ def _cmd_fig1(args):
 
 def _cmd_fig2(args):
     replicates = args.reps or 1000
-    res = randsum.prelimit_experiment(args.m, args.n, replicates, args.exponent,
-                                      args.seed, args.workers)
+    res = randsum.prelimit_experiment(args.m, args.n, replicates, args.exponent, args.seed)
     start = (1.9, float(res.sums.var()) / 2.0)
     fit = randsum.fit_stable_to_ecdf(res.grid, res.ecdf, start)
     overlay = SymmetricStable(fit.alpha, fit.lam).cdf_grid(res.grid)
@@ -244,8 +244,8 @@ def _cmd_fig2(args):
 
 
 def _cmd_hill(args):
-    res = diagnostics.hill_experiment(args.m, args.n, diagnostics.HILL_RULES,
-                                      args.sims, args.seed, args.workers, args.tail)
+    res = diagnostics.hill_experiment(args.m, args.n, sims=args.sims, seed=args.seed,
+                                      workers=args.workers, tail=args.tail)
     rows = [
         {"rule": rule, "k": k, "mean_gamma_hat": mean,
          "alpha_implied": (1.0 / mean) if mean > 0 else None}
@@ -301,17 +301,8 @@ def _cmd_audit(args):
         "summary": [{"label": series.label, "n": rep.n, "mean": rep.mean,
                      "sigma": rep.sigma, "kurtosis": rep.kurtosis,
                      "skipped_rows": skipped}],
-        "exceedances": [
-            {"k_sigmas": r.k_sigmas, "observed": r.observed,
-             "expected_normal": r.expected_normal,
-             "gauss_bound_expected": r.gauss_bound_expected}
-            for r in rep.exceedances
-        ],
-        "hill": [
-            {"rule": r.rule, "k": r.k, "gamma_hat": r.gamma_hat,
-             "alpha_implied": r.alpha_implied}
-            for r in rep.hill
-        ],
+        "exceedances": [asdict(r) for r in rep.exceedances],
+        "hill": [asdict(r) for r in rep.hill],
         "tail_ratio": [{"x": x, "ratio": r} for x, r in rep.tail_ratio],
         "notes": [{"note": n} for n in rep.notes],
     }

@@ -14,10 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .dist import SymmetrizedGamma
 from .errors import DataError
 from .parallel import child_rng, run_tasks
 
 HILL_RULES = ("sqrt", "pow-2/3", "pow-4/5")
+# quantiles of |x - mean| that form the tail report's tail-ratio grid
+RATIO_QUANTILES = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98)
 
 # Hill applied to the positive tail with k rules computed from the full
 # sample size reproduces the reference simulation means for symmetrized
@@ -156,7 +159,8 @@ def read_return_series(path, column=None, *, strict: bool = False,
     cell is a finite number or, when there is none, the first whose cell
     is data.  Rows whose selected cell is missing, unparseable or not
     finite are skipped and counted, unless ``strict`` aborts instead.
-    Returns the series and the skipped-row count.
+    Returns the series and the skipped-row count; a file that does not
+    decode or parse as CSV raises DataError.
 
     ``csv.reader`` reads the header and the first data row.  The rest is
     read in blocks of ``CSV_BLOCK`` characters, each line's cell taken as
@@ -166,36 +170,41 @@ def read_return_series(path, column=None, *, strict: bool = False,
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        rows = csv.reader(fh)
-        first = next(filter(_nonblank, rows), None)
-        if first is None:
-            raise DataError(f"empty file: {path}")
-
-        header: list[str] | None = None
-        if not any(_is_data(c) for c in first if c.strip()):
-            header = [c.strip() for c in first]
+    try:
+        with path.open(newline="") as fh:
+            rows = csv.reader(fh)
             first = next(filter(_nonblank, rows), None)
             if first is None:
-                raise DataError("no data rows after header")
+                raise DataError(f"empty file: {path}")
 
-        if isinstance(column, str) and not column.lstrip("-").isdigit():
-            if header is None or column not in header:
-                raise DataError(f"column {column!r} not found (no matching header)")
-            idx = header.index(column)
-        elif column is not None:
-            idx = int(column)
-            if not -len(first) <= idx < len(first):
-                raise DataError(f"column index {idx} out of range")
-        else:
-            idx = next((j for j, c in enumerate(first) if _parse_cell(c) is not None),
-                       next((j for j, c in enumerate(first) if _is_data(c)), None))
-            if idx is None:
-                raise DataError("no numeric column found in first data row")
+            header: list[str] | None = None
+            if not any(_is_data(c) for c in first if c.strip()):
+                header = [c.strip() for c in first]
+                first = next(filter(_nonblank, rows), None)
+                if first is None:
+                    raise DataError("no data rows after header")
 
-        values = array("d")
-        skipped = _take_rows((first,), idx, strict, values)
-        skipped += _take_rest(fh, idx, strict, values)
+            if isinstance(column, str) and not column.lstrip("-").isdigit():
+                if header is None or column not in header:
+                    raise DataError(f"column {column!r} not found (no matching header)")
+                idx = header.index(column)
+            elif column is not None:
+                idx = int(column)
+                if not -len(first) <= idx < len(first):
+                    raise DataError(f"column index {idx} out of range")
+            else:
+                idx = next((j for j, c in enumerate(first) if _parse_cell(c) is not None),
+                           next((j for j, c in enumerate(first) if _is_data(c)), None))
+                if idx is None:
+                    raise DataError("no numeric column found in first data row")
+
+            values = array("d")
+            skipped = _take_rows((first,), idx, strict, values)
+            skipped += _take_rest(fh, idx, strict, values)
+    except csv.Error as exc:  # e.g. a quoted field over csv.field_size_limit()
+        raise DataError(f"malformed CSV in {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot decode {path}: {exc}") from None
     if not values:
         raise DataError(f"column {idx} contains no numeric data")
     name = label or (header[idx] if header and -len(header) <= idx < len(header) else f"col{idx}")
@@ -270,8 +279,6 @@ def hill_k(rule: str, n: int) -> int:
 
 
 def _hill_sim(args):
-    from .dist import SymmetrizedGamma
-
     m, n, seed, sim, ks, tail = args
     x = SymmetrizedGamma(m).sample(child_rng(seed, sim), n)
     return tuple(hill_estimate(x, k, tail=tail) for k in ks)
@@ -286,20 +293,21 @@ class HillExperimentResult:
     tail: str
 
 
-def hill_experiment(m: float = 10.0, n: int = 10000, k_rules=HILL_RULES,
-                    sims: int = 100, seed: int = 0, workers: int = 1,
-                    tail: str = DEFAULT_HILL_TAIL) -> HillExperimentResult:
-    """Across-simulation mean of the Hill estimate for each k rule.
+def hill_experiment(m: float = 10.0, n: int = 10000, *, sims: int = 100, seed: int = 0,
+                    workers: int = 1, tail: str = DEFAULT_HILL_TAIL) -> HillExperimentResult:
+    """Across-simulation mean of the Hill estimate for each rule of HILL_RULES.
 
-    One derived stream per simulation index; aggregation order is fixed,
-    so the result does not depend on the worker count.
+    One derived stream, and one task, per simulation index; aggregation
+    order is fixed, so the result does not depend on the worker count.
+    Raises ValueError when sims < 1.
     """
-    rules = tuple(k_rules)
-    ks = tuple(hill_k(r, n) for r in rules)
+    if sims < 1:
+        raise ValueError(f"sims must be >= 1, got {sims}")
+    ks = tuple(hill_k(r, n) for r in HILL_RULES)
     args = [(float(m), int(n), int(seed), s, ks, tail) for s in range(sims)]
     per_sim = np.array(run_tasks(_hill_sim, args, workers))
     means = tuple(float(v) for v in per_sim.mean(axis=0))
-    return HillExperimentResult(rules=rules, ks=ks, means=means, per_sim=per_sim, tail=tail)
+    return HillExperimentResult(rules=HILL_RULES, ks=ks, means=means, per_sim=per_sim, tail=tail)
 
 
 # ----------------------------------------------------------------------
@@ -400,10 +408,8 @@ def tail_ratio_curve(dist_or_sample, x_grid, factor: float = 1.5) -> list[tuple[
 @dataclass(frozen=True)
 class TailReportConfig:
     k_sigmas_levels: tuple[float, ...] = (3.0, 5.0, 10.0)
-    hill_rules: tuple[str, ...] = HILL_RULES
     hill_tail: str = DEFAULT_HILL_TAIL
     ratio_factor: float = 1.5
-    ratio_quantiles: tuple[float, ...] = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98)
 
 
 @dataclass(frozen=True)
@@ -450,7 +456,7 @@ def build_tail_report(series: ReturnSeries, config: TailReportConfig | None = No
         notes.append(f"exceedances unavailable: {exc}")
 
     hill_rows: list[HillRow] = []
-    for rule in config.hill_rules:
+    for rule in HILL_RULES:
         try:
             k = hill_k(rule, n)
             g = hill_estimate(x, k, tail=config.hill_tail)
@@ -461,7 +467,7 @@ def build_tail_report(series: ReturnSeries, config: TailReportConfig | None = No
     ratio: list[tuple[float, float | None]] = []
     try:
         dev = np.abs(x - mean)
-        grid = np.unique(np.quantile(dev, config.ratio_quantiles))
+        grid = np.unique(np.quantile(dev, RATIO_QUANTILES))
         grid = grid[grid > 0]
         if len(grid) == 0:
             raise ValueError("no positive quantile grid points")

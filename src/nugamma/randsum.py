@@ -35,7 +35,7 @@ import numpy as np
 
 from .cffit import minimize
 from .diagnostics import ks_distance
-from .dist import SymmetrizedGamma
+from .dist import SymmetricStable, SymmetrizedGamma
 from .errors import FitError
 from .parallel import chunked_draws
 
@@ -241,15 +241,15 @@ class PrelimitResult:
 
 
 def prelimit_experiment(m: int, n: int, replicates: int, exponent_alpha: float,
-                        seed: int, workers: int = 1) -> PrelimitResult:
+                        seed: int) -> PrelimitResult:
     """Replicate sums of n symmetrized gamma(m) variates, each divided by
     n^(1/exponent_alpha), with their empirical CDF on the standard grid.
 
     By gamma additivity such a sum has exactly the law sqrt(n) SG(m/n),
     so each replicate costs two gamma draws whatever n is; chunk c of
     the replicates draws from the stream (seed, c).  That is too little
-    work for a process pool, so ``workers`` is ignored, as for the
-    closed-form kinds of :func:`random_sum_draws`.
+    work for a process pool, so the draws always run in-process, as for
+    the closed-form kinds of :func:`random_sum_draws`.
     """
     if n < 1 or replicates < 1:
         raise ValueError("n and replicates must be >= 1")
@@ -277,8 +277,6 @@ def fit_stable_to_ecdf(grid: np.ndarray, ecdf: np.ndarray,
     ks is the sup distance between the table and the fitted CDF on the
     same grid.  Raises FitError when Nelder-Mead does not converge.
     """
-    from .dist import SymmetricStable
-
     if start is None:
         start = (1.9, 0.5)
     a0 = min(max(start[0], 0.81), 1.99)
@@ -288,11 +286,7 @@ def fit_stable_to_ecdf(grid: np.ndarray, ecdf: np.ndarray,
         model = SymmetricStable(alpha=float(p[0]), lam=float(p[1])).cdf_grid(grid)
         return float(np.sum((ecdf - model) ** 2))
 
-    res = minimize(
-        objective, (a0, l0), method="Nelder-Mead",
-        bounds=[(0.8, 2.0), (1e-3, 50.0)],
-        options={"maxiter": 500, "xatol": 1e-10, "fatol": 1e-10},
-    )
+    res = minimize(objective, (a0, l0), bounds=[(0.8, 2.0), (1e-3, 50.0)])
     if not res.success:
         raise FitError(f"Nelder-Mead did not converge: {res.message}")
     alpha, lam = float(res.x[0]), float(res.x[1])

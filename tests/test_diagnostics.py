@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -133,11 +134,18 @@ class TestHillExperiment:
         b = hill_experiment(10.0, 2000, sims=1, seed=7)
         assert a.means == b.means
 
-    def test_workers_do_not_change_result(self):
-        a = hill_experiment(10.0, 1000, sims=6, seed=3, workers=1)
-        b = hill_experiment(10.0, 1000, sims=6, seed=3, workers=2)
+    # 20 simulations on 2 workers go in batches of 3
+    @pytest.mark.parametrize("sims", [6, 20])
+    def test_workers_do_not_change_result(self, sims):
+        a = hill_experiment(10.0, 1000, sims=sims, seed=3, workers=1)
+        b = hill_experiment(10.0, 1000, sims=sims, seed=3, workers=2)
         assert a.means == b.means
         np.testing.assert_array_equal(a.per_sim, b.per_sim)
+
+    def test_sims_below_one(self):
+        # formerly empty-mean warnings, then a TypeError
+        with pytest.raises(ValueError, match="sims"):
+            hill_experiment(10.0, 1000, sims=0)
 
 
 class TestEmpiricalKurtosis:
@@ -345,6 +353,17 @@ class TestReturnSeriesIngestion:
         p = tmp_path / "f.csv"
         p.write_text("x\n\n")
         with pytest.raises(DataError):
+            read_return_series(p)
+
+    @pytest.mark.parametrize("body", [
+        b'x\n1.0\n"' + b"9" * (csv.field_size_limit() + 1) + b'"\n2.0\n',  # data field
+        b'"' + b"x" * (csv.field_size_limit() + 1) + b'"\n1.0\n2.0\n',      # header cell
+        b"x\n1.0\n\xff\xfe\n2.0\n",                                         # not UTF-8
+    ], ids=["long-field", "long-header", "undecodable"])
+    def test_unreadable_file_is_data_error(self, tmp_path, body):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(body)
+        with pytest.raises(DataError, match="malformed CSV|cannot decode"):
             read_return_series(p)
 
     def test_unknown_named_column(self, tmp_path):

@@ -107,6 +107,7 @@ class TestExitCodes:
 
     def test_usage_counts_below_one(self, capsys):
         assert run(["hill", "--reps", "0"]) == 1
+        assert run(["hill", "--sims", "0"]) == 1
         assert run(["bounds", "--workers", "0"]) == 1
         assert run(["bounds", "--format", "yaml"]) == 1
 
@@ -120,6 +121,18 @@ class TestExitCodes:
         out = _cli_subprocess(["fig2", "--exponent", "0", "--reps", "10", "--n", "20"])
         assert out.returncode == 1
         assert "Traceback" not in out.stderr and "exponent_alpha" in out.stderr
+
+    @pytest.mark.parametrize("body", [b'x\n1\n"' + b"9" * 200000 + b'"\n', b"x\n1\n\xff\n2\n"],
+                             ids=["long-field", "undecodable"])
+    def test_unreadable_csv_is_data_error(self, tmp_path, body):
+        # a quoted field over csv's default limit of 131072 characters was a
+        # _csv.Error traceback, and undecodable bytes a usage error
+        p = tmp_path / "bad.csv"
+        p.write_bytes(body)
+        out = _cli_subprocess(["audit", str(p)])
+        assert out.returncode == 2
+        assert out.stderr.startswith("data error: ") and out.stderr.count("\n") == 1
+        assert "Traceback" not in out.stderr
 
     def test_randsum_over_draw_budget_is_usage_error(self, capsys):
         assert run(["randsum", "--reps", "100000", "--p-schedule", "0.01,0.000001"]) == 1
