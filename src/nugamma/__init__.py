@@ -21,7 +21,6 @@ from .cffit import (
 from .diagnostics import (
     ReturnSeries,
     TailReport,
-    TailReportConfig,
     build_tail_report,
     empirical_kurtosis,
     exceedance_counts,
@@ -44,7 +43,6 @@ from .randsum import (
     random_sum_sample,
     theorem1_experiment,
 )
-from .specfun import QuadratureSpec, integrate
 
 __version__ = "0.1.0"
 
@@ -52,7 +50,7 @@ __all__ = [
     "BoundResult", "chebyshev_bound", "expected_exceedances", "gauss_bound",
     "FitWindow", "SandwichCheck", "StableFit", "feasible_lambda_interval",
     "fit_stable_cf_values", "fit_stable_to_cf", "sum_cf", "table3_sweep", "verify_sandwich",
-    "ReturnSeries", "TailReport", "TailReportConfig", "build_tail_report",
+    "ReturnSeries", "TailReport", "build_tail_report",
     "empirical_kurtosis", "exceedance_counts", "hill_estimate", "hill_experiment",
     "ks_critical_value", "ks_distance", "read_return_series", "tail_ratio_curve",
     "GaussExtremalMixture", "SymmetricStable", "SymmetrizedGamma",
@@ -60,5 +58,4 @@ __all__ = [
     "Component", "NuFamily", "RandomSumConfig", "fit_stable_to_ecdf",
     "prelimit_experiment", "random_sum_draws", "random_sum_sample",
     "theorem1_experiment",
-    "QuadratureSpec", "integrate",
 ]

@@ -38,13 +38,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"no number in {text!r}")
+    return values
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in _float_list(text)]
+    values = _float_list(text)
+    if not all(v.is_integer() for v in values):
+        raise argparse.ArgumentTypeError(f"not all whole numbers: {text!r}")
+    return [int(v) for v in values]
 
 
 def _count(text: str) -> int:
@@ -134,20 +140,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-# command handlers: payload, provenance, optional svg spec
+# command handlers: payload, provenance and chart, where the chart is
+# (title, ylabel, rows, x column, y columns) drawn from payload rows
 # ----------------------------------------------------------------------
+
+def _rows(keys, error, blank, row):
+    """``row(key)`` per key; a key whose row raises ``error`` gets
+    ``blank(key)`` plus the message under "error".  Raises ``error`` when
+    every row failed."""
+    rows = []
+    for key in keys:
+        try:
+            rows.append(row(key))
+        except error as exc:
+            rows.append({**blank(key), "error": str(exc)})
+    if all("error" in r for r in rows):
+        raise error(f"every row failed; first: {rows[0]['error']}")
+    return rows
+
 
 def _cmd_table1(args):
     unit = "sigma" if args.strict_sigma else "sigma_squared"
-    rows = []
-    for m in args.m_list:
-        d = SymmetrizedGamma(m)
-        try:
-            rows.append({"m": m, "probability": d.two_sided_exceed(args.k_sigmas, unit=unit)})
-        except IntegrationError as exc:
-            rows.append({"m": m, "probability": None, "error": str(exc)})
-    if rows and all("error" in r for r in rows):
-        raise IntegrationError(f"every row failed; first: {rows[0]['error']}")
+    rows = _rows(args.m_list, IntegrationError, lambda m: {"m": m, "probability": None},
+                 lambda m: {"m": m, "probability": SymmetrizedGamma(m).two_sided_exceed(
+                     args.k_sigmas, unit=unit)})
     prov = [
         f"deviation level {args.k_sigmas:g} measured in units of "
         + ("sigma (threshold k*sqrt(2))" if unit == "sigma" else
@@ -155,25 +171,23 @@ def _cmd_table1(args):
         "analytic quadrature of the Bessel density; absolute accuracy 1e-9, "
         "reference agreement 4 significant digits",
     ]
-    svg = ("two-sided deviation probability", "m", "P{|X| > level}",
-           [("probability", [r["m"] for r in rows],
-             [r["probability"] for r in rows])])
-    return rows, prov, svg
+    return rows, prov, ("two-sided deviation probability", "P{|X| > level}",
+                        rows, "m", ["probability"])
 
 
 def _fit_rows(m, n_list, window, method):
-    rows = []
-    for n in n_list:
-        try:
-            fit = cffit.fit_stable_to_cf(m, n, window, method)
-            rows.append({"n": n, "alpha": fit.alpha, "lambda": fit.lam,
-                         "residual": fit.residual, "method": fit.method})
-        except FitError as exc:
-            rows.append({"n": n, "alpha": None, "lambda": None,
-                         "residual": None, "method": method, "error": str(exc)})
-    if rows and all("error" in r for r in rows):
-        raise FitError(f"every fit failed; first: {rows[0]['error']}")
-    return rows
+    def row(n):
+        fit = cffit.fit_stable_to_cf(m, n, window, method)
+        return {"n": n, "alpha": fit.alpha, "lambda": fit.lam,
+                "residual": fit.residual, "method": fit.method}
+
+    return _rows(n_list, FitError, lambda n: {"n": n, "alpha": None, "lambda": None,
+                                               "residual": None, "method": method}, row)
+
+
+# --method choice -> the cffit methods it fits, the first one charted
+_TABLE3_METHODS = {"ls-cf": ["ls-cf"], "loglog": ["loglog-regression"],
+                   "both": ["ls-cf", "loglog-regression"]}
 
 
 def _cmd_table3(args):
@@ -183,20 +197,13 @@ def _cmd_table3(args):
         "ls-cf: least squares on CF values over a linear grid (reference tolerance "
         "alpha +/- 0.05, lambda +/- 0.1); loglog-regression: OLS in log-log space",
     ]
-    if args.method == "both":
-        payload = {
-            "ls-cf": _fit_rows(args.m, args.n_list, window, "ls-cf"),
-            "loglog-regression": _fit_rows(args.m, args.n_list, window, "loglog-regression"),
-        }
-        first = payload["ls-cf"]
+    methods = _TABLE3_METHODS[args.method]
+    fits = {method: _fit_rows(args.m, args.n_list, window, method) for method in methods}
+    payload = fits if len(methods) > 1 else fits[methods[0]]
+    if len(methods) > 1:
         prov.append("comparison mode: both methods emitted")
-    else:
-        method = "ls-cf" if args.method == "ls-cf" else "loglog-regression"
-        payload = _fit_rows(args.m, args.n_list, window, method)
-        first = payload
-    svg = ("stable fit exponent vs summand count", "n", "alpha",
-           [("alpha", [r["n"] for r in first], [r["alpha"] for r in first])])
-    return payload, prov, svg
+    return payload, prov, ("stable fit exponent vs summand count", "alpha",
+                           fits[methods[0]], "n", ["alpha"])
 
 
 def _cmd_fig1(args):
@@ -212,9 +219,7 @@ def _cmd_fig1(args):
     if defined:
         prov.append(f"curve band over the window: min {min(defined):.6g}, max {max(defined):.6g} "
                     "(slowly varying; compare the explosive growth of an exponential-tail ratio)")
-    svg = ("tail ratio", "x", "ratio",
-           [("ratio", [r["x"] for r in rows], [r["ratio"] for r in rows])])
-    return rows, prov, svg
+    return rows, prov, ("tail ratio", "ratio", rows, "x", ["ratio"])
 
 
 def _cmd_fig2(args):
@@ -235,12 +240,8 @@ def _cmd_fig2(args):
         "stable overlay fitted to the ECDF by least squares on the evaluation grid; "
         "the reported ks is the sup distance between the two curves",
     ]
-    svg = ("normalized-sum ECDF vs fitted stable CDF", "x", "F(x)",
-           [("empirical", [r["x"] for r in payload["ecdf"]],
-             [r["empirical"] for r in payload["ecdf"]]),
-            ("stable fit", [r["x"] for r in payload["ecdf"]],
-             [r["stable_fit"] for r in payload["ecdf"]])])
-    return payload, prov, svg
+    return payload, prov, ("normalized-sum ECDF vs fitted stable CDF", "F(x)",
+                           payload["ecdf"], "x", ["empirical", "stable_fit"])
 
 
 def _cmd_hill(args):
@@ -249,7 +250,7 @@ def _cmd_hill(args):
     rows = [
         {"rule": rule, "k": k, "mean_gamma_hat": mean,
          "alpha_implied": (1.0 / mean) if mean > 0 else None}
-        for rule, k, mean in zip(res.rules, res.ks, res.means)
+        for rule, k, mean in zip(diagnostics.HILL_RULES, res.ks, res.means)
     ]
     prov = [
         f"mean over {args.sims} simulations of n={args.n} draws at m={args.m:g}",
@@ -257,9 +258,7 @@ def _cmd_hill(args):
         "(alpha_implied is its reciprocal); the positive-tail convention reproduces "
         "the reference triple (0.37, 0.65, 1.39) within +/-0.1",
     ]
-    svg = ("Hill estimate vs k", "k", "mean gamma_hat",
-           [("gamma_hat", [r["k"] for r in rows], [r["mean_gamma_hat"] for r in rows])])
-    return rows, prov, svg
+    return rows, prov, ("Hill estimate vs k", "mean gamma_hat", rows, "k", ["mean_gamma_hat"])
 
 
 def _cmd_bounds(args):
@@ -280,23 +279,18 @@ def _cmd_bounds(args):
         "gauss-unimodal bound 4 sigma^2/(9 d^2) is sharp (atom plus rectangle attains it); "
         "valid for d^2 >= 4 sigma^2/3, error reported outside that regime",
     ]
+    # rows without a bound would still widen the chart's x axis
     gauss_rows = [r for r in rows if r["kind"] == "gauss-unimodal" and r["bound"] is not None]
-    svg = ("deviation bounds", "d", "bound",
-           [("gauss-unimodal", [r["d"] for r in gauss_rows], [r["bound"] for r in gauss_rows])])
-    return rows, prov, svg
+    return rows, prov, ("deviation bounds", "gauss-unimodal bound", gauss_rows, "d", ["bound"])
 
 
 def _cmd_audit(args):
     series, skipped = diagnostics.read_return_series(args.input_path, args.column,
                                                      strict=args.strict)
-    cfg = diagnostics.TailReportConfig(
-        k_sigmas_levels=tuple(args.levels),
-        hill_tail=args.hill_tail,
-        ratio_factor=args.factor,
-    )
     if float(series.values.std()) == 0.0:
         raise DataError("degenerate series: zero variance")
-    rep = diagnostics.build_tail_report(series, cfg)
+    rep = diagnostics.build_tail_report(series, levels=tuple(args.levels),
+                                        hill_tail=args.hill_tail, ratio_factor=args.factor)
     payload = {
         "summary": [{"label": series.label, "n": rep.n, "mean": rep.mean,
                      "sigma": rep.sigma, "kurtosis": rep.kurtosis,
@@ -311,10 +305,7 @@ def _cmd_audit(args):
         "exceedance expectations: normal two-sided tail vs the unimodal bound 4/(9k^2)",
         f"hill convention: {args.hill_tail} tail, raw log-spacing mean",
     ]
-    tr = payload["tail_ratio"]
-    svg = ("empirical tail ratio", "x", "ratio",
-           [("ratio", [r["x"] for r in tr], [r["ratio"] for r in tr])])
-    return payload, prov, svg
+    return payload, prov, ("empirical tail ratio", "ratio", payload["tail_ratio"], "x", ["ratio"])
 
 
 def _cmd_randsum(args):
@@ -332,9 +323,7 @@ def _cmd_randsum(args):
         "with symmetrized gamma summands the law is an exact fixed point and the "
         "distance sits at the noise floor",
     ]
-    svg = ("random-sum convergence", "p", "KS distance",
-           [("ks", [r["p"] for r in rows], [r["ks_distance"] for r in rows])])
-    return rows, prov, svg
+    return rows, prov, ("random-sum convergence", "KS distance", rows, "p", ["ks_distance"])
 
 
 _HANDLERS = {
@@ -368,7 +357,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        payload, provenance, svg_spec = _HANDLERS[args.command](args)
+        payload, provenance, chart = _HANDLERS[args.command](args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -389,10 +378,11 @@ def run(argv=None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if args.svg and svg_spec is not None:
-        title, xlabel, ylabel, series = svg_spec
+    if args.svg:
+        title, ylabel, rows, x, ys = chart
+        series = [(y, [r[x] for r in rows], [r[y] for r in rows]) for y in ys]
         with open(args.svg, "w") as fh:
-            fh.write(report.svg_line_chart(series, title, xlabel, ylabel))
+            fh.write(report.svg_line_chart(series, title, x, ylabel))
     return EXIT_OK
 
 

@@ -18,7 +18,8 @@ from .dist import SymmetrizedGamma
 from .errors import DataError
 from .parallel import child_rng, run_tasks
 
-HILL_RULES = ("sqrt", "pow-2/3", "pow-4/5")
+# Hill k rules, in report order: rule name -> exponent e of k = floor(n^e)
+HILL_RULES = {"sqrt": 0.5, "pow-2/3": 2.0 / 3.0, "pow-4/5": 0.8}
 # quantiles of |x - mean| that form the tail report's tail-ratio grid
 RATIO_QUANTILES = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98)
 
@@ -147,8 +148,7 @@ def _take_rest(fh, idx: int, strict: bool, values: array) -> int:
     return skipped + _take_lines([carry] if carry else [], idx, strict, values)
 
 
-def read_return_series(path, column=None, *, strict: bool = False,
-                       label: str | None = None) -> tuple[ReturnSeries, int]:
+def read_return_series(path, column=None, *, strict: bool = False) -> tuple[ReturnSeries, int]:
     """Read one numeric column from a CSV file, in one pass.
 
     Blank lines are ignored.  The first non-blank row is a header when
@@ -207,7 +207,7 @@ def read_return_series(path, column=None, *, strict: bool = False,
         raise DataError(f"cannot decode {path}: {exc}") from None
     if not values:
         raise DataError(f"column {idx} contains no numeric data")
-    name = label or (header[idx] if header and -len(header) <= idx < len(header) else f"col{idx}")
+    name = header[idx] if header and -len(header) <= idx < len(header) else f"col{idx}"
     return ReturnSeries(np.array(values), label=name, source=str(path)), skipped
 
 
@@ -256,7 +256,7 @@ def hill_estimate(sample, k: int, *, tail: str = "abs") -> float:
     vals = _hill_values(sample, tail)
     n = len(vals)
     if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < {n}, got k={k}")
+        raise ValueError(f"need 1 <= k < {n} {tail} values, got k={k}")
     # only the top k+1 order statistics enter, so sort only those
     top = np.sort(np.partition(vals, n - k - 1)[n - k - 1:])
     threshold = top[0]
@@ -266,16 +266,10 @@ def hill_estimate(sample, k: int, *, tail: str = "abs") -> float:
 
 
 def hill_k(rule: str, n: int) -> int:
-    """k = floor(rule(n)) for the supported growth rules."""
-    if rule == "sqrt":
-        v = n ** 0.5
-    elif rule == "pow-2/3":
-        v = n ** (2.0 / 3.0)
-    elif rule == "pow-4/5":
-        v = n ** 0.8
-    else:
+    """k = floor(n^e) for the exponent e of a rule of HILL_RULES."""
+    if rule not in HILL_RULES:
         raise ValueError(f"unknown Hill k rule {rule!r}")
-    return int(math.floor(v + 1e-9))  # guard against 15.999999... artifacts
+    return int(math.floor(n ** HILL_RULES[rule] + 1e-9))  # guard against 15.999999... artifacts
 
 
 def _hill_sim(args):
@@ -286,11 +280,9 @@ def _hill_sim(args):
 
 @dataclass(frozen=True)
 class HillExperimentResult:
-    rules: tuple[str, ...]
-    ks: tuple[int, ...]
+    ks: tuple[int, ...]  # one per rule of HILL_RULES, as are the means
     means: tuple[float, ...]
-    per_sim: np.ndarray  # shape (sims, len(rules))
-    tail: str
+    per_sim: np.ndarray  # shape (sims, len(HILL_RULES))
 
 
 def hill_experiment(m: float = 10.0, n: int = 10000, *, sims: int = 100, seed: int = 0,
@@ -307,7 +299,7 @@ def hill_experiment(m: float = 10.0, n: int = 10000, *, sims: int = 100, seed: i
     args = [(float(m), int(n), int(seed), s, ks, tail) for s in range(sims)]
     per_sim = np.array(run_tasks(_hill_sim, args, workers))
     means = tuple(float(v) for v in per_sim.mean(axis=0))
-    return HillExperimentResult(rules=HILL_RULES, ks=ks, means=means, per_sim=per_sim, tail=tail)
+    return HillExperimentResult(ks=ks, means=means, per_sim=per_sim)
 
 
 # ----------------------------------------------------------------------
@@ -406,13 +398,6 @@ def tail_ratio_curve(dist_or_sample, x_grid, factor: float = 1.5) -> list[tuple[
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TailReportConfig:
-    k_sigmas_levels: tuple[float, ...] = (3.0, 5.0, 10.0)
-    hill_tail: str = DEFAULT_HILL_TAIL
-    ratio_factor: float = 1.5
-
-
-@dataclass(frozen=True)
 class HillRow:
     rule: str
     k: int
@@ -432,10 +417,12 @@ class TailReport:
     notes: list[str] = field(default_factory=list)
 
 
-def build_tail_report(series: ReturnSeries, config: TailReportConfig | None = None) -> TailReport:
-    """All diagnostics over one series; failed fields are marked in
-    ``notes`` instead of aborting the whole report."""
-    config = config or TailReportConfig()
+def build_tail_report(series: ReturnSeries, *, levels=(3.0, 5.0, 10.0),
+                      hill_tail: str = DEFAULT_HILL_TAIL, ratio_factor: float = 1.5) -> TailReport:
+    """All diagnostics over one series: exceedance counts at each k-sigma
+    level of ``levels``, Hill estimates on the ``hill_tail`` tail, and the
+    empirical tail ratio at ``ratio_factor`` over the RATIO_QUANTILES grid.
+    Failed fields are marked in ``notes`` instead of aborting the report."""
     x = series.values
     n = len(x)
     mean = float(x.mean())
@@ -451,7 +438,7 @@ def build_tail_report(series: ReturnSeries, config: TailReportConfig | None = No
 
     exceed: list[ExceedanceRow] = []
     try:
-        exceed = exceedance_counts(x, config.k_sigmas_levels)
+        exceed = exceedance_counts(x, levels)
     except ValueError as exc:
         notes.append(f"exceedances unavailable: {exc}")
 
@@ -459,7 +446,7 @@ def build_tail_report(series: ReturnSeries, config: TailReportConfig | None = No
     for rule in HILL_RULES:
         try:
             k = hill_k(rule, n)
-            g = hill_estimate(x, k, tail=config.hill_tail)
+            g = hill_estimate(x, k, tail=hill_tail)
             hill_rows.append(HillRow(rule, k, g, (1.0 / g) if g > 0 else math.inf))
         except ValueError as exc:
             notes.append(f"hill[{rule}] unavailable: {exc}")
@@ -471,7 +458,7 @@ def build_tail_report(series: ReturnSeries, config: TailReportConfig | None = No
         grid = grid[grid > 0]
         if len(grid) == 0:
             raise ValueError("no positive quantile grid points")
-        ratio = tail_ratio_curve(x - mean, grid, config.ratio_factor)
+        ratio = tail_ratio_curve(x - mean, grid, ratio_factor)
     except ValueError as exc:
         notes.append(f"tail ratio unavailable: {exc}")
 

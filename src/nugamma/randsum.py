@@ -19,11 +19,10 @@ like 1/p and no limit exists.
 
 Sampling is batched: replicates come in fixed-size chunks with one
 random stream each (see ``parallel``), and a chunk draws all its nu at
-once.  Symmetrized gamma and normal summands are then summed in closed
-form -- nu SG(m) variates add up to Gamma(nu/m, sqrt(m)) - Gamma(nu/m,
-sqrt(m)), nu N(0, s^2) variates to s sqrt(nu) Z -- and other summands
-are drawn flat and reduced per replicate.  ``random_sum_sample`` is the
-literal one-replicate loop, kept as the reference for the batched path.
+once.  Symmetrized gamma summands are then summed in closed form -- nu
+SG(m) variates add up to Gamma(nu/m, sqrt(m)) - Gamma(nu/m, sqrt(m)) --
+and uniform ones are drawn flat and reduced per replicate; the literal
+one-replicate loop ``random_sum_sample`` is the batched path's reference.
 """
 
 from __future__ import annotations
@@ -42,12 +41,10 @@ from .parallel import chunked_draws
 ECDF_GRID_POINTS = 512
 ECDF_CENTRAL_SPAN = 0.999
 
-# summands summed in closed form: O(1) draws per replicate, so their
-# stages need no draw budget and no process pool
-CLOSED_FORM_KINDS = ("sg", "normal", "zero")
-
-# summands drawn one by one (uniform) cost one draw each: a stage whose
-# expected count, replicates / p, exceeds this is refused before drawing
+# sg summands are summed in closed form, O(1) draws per replicate, so
+# their stages need no draw budget and no process pool.  Summands drawn
+# one by one (uniform) cost one draw each: a stage whose expected count,
+# replicates / p, exceeds this is refused before drawing
 MAX_EXPECTED_SUMMANDS = 2 ** 34
 # flat summand draws are reduced in sub-batches of about this many, split
 # on replicate boundaries, so memory stays flat at every p
@@ -102,23 +99,11 @@ class Component:
     def symmetrized_gamma(cls, m: float) -> "Component":
         return cls(kind="sg", param=float(m), variance=2.0)
 
-    @classmethod
-    def normal(cls, std: float = math.sqrt(2.0)) -> "Component":
-        return cls(kind="normal", param=float(std), variance=float(std) ** 2)
-
-    @classmethod
-    def zero(cls) -> "Component":
-        return cls(kind="zero", param=0.0, variance=0.0)
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "uniform":
             return rng.uniform(-self.param, self.param, n)
         if self.kind == "sg":
             return SymmetrizedGamma(self.param).sample(rng, n)
-        if self.kind == "normal":
-            return rng.normal(0.0, self.param, n)
-        if self.kind == "zero":
-            return np.zeros(n)
         raise ValueError(f"unknown component kind {self.kind!r}")
 
 
@@ -162,17 +147,13 @@ def _sums_chunk(rng: np.random.Generator, k: int, family: NuFamily,
     if component.kind == "sg":
         shape, scale = nu / component.param, math.sqrt(component.param)
         sums = rng.gamma(shape, scale) - rng.gamma(shape, scale)
-    elif component.kind == "normal":
-        sums = component.param * np.sqrt(nu) * rng.standard_normal(k)
-    elif component.kind == "zero":
-        sums = np.zeros(k)
     else:
         sums = _flat_sums(rng, nu, component)
     return math.sqrt(family.p) * sums
 
 
 def _check_draw_budget(config: RandomSumConfig) -> None:
-    if config.component.kind in CLOSED_FORM_KINDS:
+    if config.component.kind == "sg":
         return
     expected = config.replicates / config.family.p
     if expected > MAX_EXPECTED_SUMMANDS:
@@ -184,7 +165,7 @@ def _check_draw_budget(config: RandomSumConfig) -> None:
 def random_sum_draws(config: RandomSumConfig, *, stage: int = 0, workers: int = 1) -> np.ndarray:
     """All replicates, one child stream per (stage, chunk index)."""
     _check_draw_budget(config)
-    if config.component.kind in CLOSED_FORM_KINDS:
+    if config.component.kind == "sg":
         workers = 1  # the streams, and so the draws, do not depend on it
     return chunked_draws(_sums_chunk, (config.family, config.component),
                          config.replicates, config.seed, (stage,), workers)
@@ -249,7 +230,7 @@ def prelimit_experiment(m: int, n: int, replicates: int, exponent_alpha: float,
     so each replicate costs two gamma draws whatever n is; chunk c of
     the replicates draws from the stream (seed, c).  That is too little
     work for a process pool, so the draws always run in-process, as for
-    the closed-form kinds of :func:`random_sum_draws`.
+    sg summands in :func:`random_sum_draws`.
     """
     if n < 1 or replicates < 1:
         raise ValueError("n and replicates must be >= 1")

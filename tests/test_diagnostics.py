@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nugamma import diagnostics
 from nugamma.diagnostics import (
+    HILL_RULES,
     ReturnSeries,
     build_tail_report,
     empirical_kurtosis,
@@ -74,6 +75,11 @@ class TestHillEstimate:
             hill_estimate(sample, 0)
         with pytest.raises(ValueError):
             hill_estimate(sample, 10)
+
+    def test_k_range_error_counts_tail_values(self):
+        # the bound is the number of values in the chosen tail, not the sample size
+        with pytest.raises(ValueError, match=r"need 1 <= k < 1 positive values, got k=1"):
+            hill_estimate([-1.0, -2.0, 3.0], 1, tail="positive")
 
     def test_nonpositive_threshold_error(self):
         sample = np.array([0.0, 0.0, 0.0, 1.0, 2.0])
@@ -468,9 +474,18 @@ class TestBuildTailReport:
         assert rep.kurtosis is not None and rep.kurtosis > 3.0
         ref = hill_experiment(10.0, 10000, sims=100, seed=SEED)
         by_rule = {h.rule: h.gamma_hat for h in rep.hill}
-        for rule, mean in zip(ref.rules, ref.means):
+        for rule, mean in zip(HILL_RULES, ref.means):
             # single sample vs the experiment mean: a few per-sim sd apart
             assert abs(by_rule[rule] - mean) < 0.15
+
+    def test_options_reach_each_field(self):
+        x = SymmetrizedGamma(10.0).sample(child_rng(SEED, 32), 2000)
+        rep = build_tail_report(ReturnSeries(x), levels=(2.0,), hill_tail="abs",
+                                ratio_factor=1.0)
+        assert [r.k_sigmas for r in rep.exceedances] == [2.0]
+        assert [h.gamma_hat for h in rep.hill] == [
+            hill_estimate(x, hill_k(rule, len(x)), tail="abs") for rule in HILL_RULES]
+        assert all(r == 1.0 for _, r in rep.tail_ratio)
 
     def test_constant_series_marks_fields(self):
         rep = build_tail_report(ReturnSeries(np.ones(50)))

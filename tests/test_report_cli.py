@@ -10,6 +10,7 @@ import nugamma
 from nugamma import cli, parallel, randsum
 from nugamma.cli import run
 from nugamma.dist import SymmetrizedGamma
+from nugamma.errors import FitError
 from nugamma.parallel import child_rng
 from nugamma.report import (
     ReportDocument,
@@ -110,6 +111,31 @@ class TestExitCodes:
         assert run(["hill", "--sims", "0"]) == 1
         assert run(["bounds", "--workers", "0"]) == 1
         assert run(["bounds", "--format", "yaml"]) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["table1", "--m-list", ","], ["bounds", "--d-list", ","], ["table3", "--n-list", ","],
+        ["randsum", "--p-schedule", ","], ["audit", "returns.csv", "--levels", ","],
+        ["table3", "--n-list", "10.7"], ["table3", "--n-list", "inf"],
+    ], ids=" ".join)
+    def test_usage_list_without_values(self, args, capsys):
+        # an empty list once ran to an empty table, 10.7 fitted n = 10, and
+        # inf escaped as an OverflowError traceback
+        assert run(args) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_every_row_failed(self):
+        def row(key):
+            if key < 2:
+                raise FitError(f"bad {key}")
+            return {"key": key, "value": 2 * key}
+
+        def blank(key):
+            return {"key": key, "value": None}
+
+        assert cli._rows([1, 2], FitError, blank, row) == [
+            {"key": 1, "value": None, "error": "bad 1"}, {"key": 2, "value": 4}]
+        with pytest.raises(FitError, match="^every row failed; first: bad 0$"):
+            cli._rows([0, 1], FitError, blank, row)
 
     @pytest.mark.parametrize("args", [["table1", "--m-list", "0.001"], ["fig1", "--m", "0.001"]])
     def test_numeric_density_overflow(self, args, capsys):
@@ -238,6 +264,38 @@ class TestFig1Command:
         assert code == 0
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
+
+
+
+CHART_CASES = [
+    (["table1", "--m-list", "10,20"], "m", ["probability"]),
+    (["table3", "--n-list", "1,10", "--method", "both"], "n", ["alpha"]),
+    (["fig1", "--points", "10"], "x", ["ratio"]),
+    (["fig2", "--reps", "30", "--n", "200"], "x", ["empirical", "stable_fit"]),
+    (["hill", "--sims", "2", "--n", "500"], "k", ["mean_gamma_hat"]),
+    (["bounds", "--d-list", "1,2,10"], "d", ["bound"]),
+    (["audit", "{csv}"], "x", ["ratio"]),
+    (["randsum", "--reps", "500", "--p-schedule", "0.2"], "p", ["ks_distance"]),
+]
+
+
+class TestCharts:
+    """Every chart is a view of payload rows: one line per y column, its
+    legend the column name, the x axis labelled with the x column."""
+
+    @pytest.mark.parametrize("args, x, ys", CHART_CASES, ids=[c[0][0] for c in CHART_CASES])
+    def test_svg_lines_follow_columns(self, tmp_path, args, x, ys):
+        csv_path = tmp_path / "returns.csv"
+        x_sample = SymmetrizedGamma(10.0).sample(child_rng(0x5EED, 78), 500)
+        csv_path.write_text("ret\n" + "\n".join(repr(float(v)) for v in x_sample) + "\n")
+        svg = tmp_path / "c.svg"
+        argv = [a.format(csv=csv_path) for a in args]
+        assert run(argv + ["--svg", str(svg), "--out", str(tmp_path / "o.txt")]) == 0
+        text = svg.read_text()
+        assert text.startswith("<svg") and text.count("<polyline") == len(ys)
+        assert f'font-size="13">{x}</text>' in text
+        for y in ys:
+            assert f'font-size="12">{y}</text>' in text
 
 
 class TestFig2Command:
