@@ -15,7 +15,6 @@ from .cffit import (
     fit_stable_cf_values,
     fit_stable_to_cf,
     sum_cf,
-    table3_sweep,
     verify_sandwich,
 )
 from .diagnostics import (
@@ -40,7 +39,6 @@ from .randsum import (
     fit_stable_to_ecdf,
     prelimit_experiment,
     random_sum_draws,
-    random_sum_sample,
     theorem1_experiment,
 )
 
@@ -49,13 +47,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundResult", "chebyshev_bound", "expected_exceedances", "gauss_bound",
     "FitWindow", "SandwichCheck", "StableFit", "feasible_lambda_interval",
-    "fit_stable_cf_values", "fit_stable_to_cf", "sum_cf", "table3_sweep", "verify_sandwich",
+    "fit_stable_cf_values", "fit_stable_to_cf", "sum_cf", "verify_sandwich",
     "ReturnSeries", "TailReport", "build_tail_report",
     "empirical_kurtosis", "exceedance_counts", "hill_estimate", "hill_experiment",
     "ks_critical_value", "ks_distance", "read_return_series", "tail_ratio_curve",
     "GaussExtremalMixture", "SymmetricStable", "SymmetrizedGamma",
     "DataError", "FitError", "IntegrationError", "NuGammaError", "OutOfRegimeError",
     "Component", "NuFamily", "RandomSumConfig", "fit_stable_to_ecdf",
-    "prelimit_experiment", "random_sum_draws", "random_sum_sample",
-    "theorem1_experiment",
+    "prelimit_experiment", "random_sum_draws", "theorem1_experiment",
 ]

@@ -36,9 +36,6 @@ from .errors import FitError
 DEFAULT_METHOD = "ls-cf"
 _METHODS = ("loglog-regression", "ls-cf")
 
-TABLE3_M = 20.0
-TABLE3_N_LIST = (1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
-
 
 def minimize(objective, start, *, bounds):
     """Bounded Nelder-Mead of both stable fits: iteration cap 500, xatol =
@@ -188,15 +185,3 @@ def fit_stable_to_cf(m: float, n: int, window: FitWindow,
     """Fit exp(-lambda t^alpha) to the standardized-sum CF f(t, m/n)."""
     return fit_stable_cf_values(lambda t: sum_cf(m, n, t), window, method)
 
-
-def table3_sweep(m: float = TABLE3_M, n_list=TABLE3_N_LIST,
-                 window: FitWindow | None = None,
-                 method: str = DEFAULT_METHOD) -> list[tuple[int, StableFit]]:
-    """One stable fit per summand count n; alpha and lambda grow with n.
-
-    With the defaults (m=20, window (0.005, 0.5)) the ls-cf fits land on
-    the reference sweep values; rows are independent and emitted in the
-    order of ``n_list``.
-    """
-    window = window or FitWindow(0.005, 0.5, 256)
-    return [(int(n), fit_stable_to_cf(m, int(n), window, method)) for n in n_list]

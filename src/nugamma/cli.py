@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import cffit, diagnostics, randsum, report
-from .dist import SymmetrizedGamma, SymmetricStable
+from .dist import SymmetrizedGamma
 from .errors import DataError, FitError, IntegrationError
 
 EXIT_OK = 0
@@ -86,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("table3", parents=[common],
                        help="stable (alpha, lambda) fits to the CF of standardized sums")
-    q.add_argument("--m", type=float, default=cffit.TABLE3_M)
-    q.add_argument("--n-list", type=_int_list, default=list(cffit.TABLE3_N_LIST))
+    q.add_argument("--m", type=float, default=20.0)
+    q.add_argument("--n-list", type=_int_list, default=[1, *range(10, 101, 10)])
     q.add_argument("--delta", type=float, default=0.005)
     q.add_argument("--Delta", type=float, default=0.5)
     q.add_argument("--grid-size", type=int, default=256)
@@ -208,6 +208,8 @@ def _cmd_table3(args):
 
 def _cmd_fig1(args):
     d = SymmetrizedGamma(args.m)
+    if not np.isfinite([args.x_min, args.x_max]).all():  # linspace would warn
+        raise ValueError(f"x range must be finite, got {args.x_min} to {args.x_max}")
     xs = np.linspace(args.x_min, args.x_max, args.points)
     curve = diagnostics.tail_ratio_curve(d, xs, args.factor)
     rows = [{"x": x, "ratio": r} for x, r in curve]
@@ -227,12 +229,11 @@ def _cmd_fig2(args):
     res = randsum.prelimit_experiment(args.m, args.n, replicates, args.exponent, args.seed)
     start = (1.9, float(res.sums.var()) / 2.0)
     fit = randsum.fit_stable_to_ecdf(res.grid, res.ecdf, start)
-    overlay = SymmetricStable(fit.alpha, fit.lam).cdf_grid(res.grid)
     payload = {
         "fit": [{"alpha": fit.alpha, "lambda": fit.lam, "ks": fit.ks,
                  "residual": fit.residual}],
         "ecdf": [{"x": float(x), "empirical": float(e), "stable_fit": float(s)}
-                 for x, e, s in zip(res.grid, res.ecdf, overlay)],
+                 for x, e, s in zip(res.grid, res.ecdf, fit.cdf)],
     }
     prov = [
         f"{replicates} replicate sums of n={args.n} variates (m={args.m}), "

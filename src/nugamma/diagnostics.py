@@ -55,12 +55,11 @@ class ReturnSeries:
 MISSING_MARKERS = frozenset({"NA"})
 
 # after the first data row, the file is read in blocks of this many
-# characters, cut at their last newline, and the selected cells are
-# converted this many rows at a time; a chunk holding a short row or a
-# cell float() rejects is parsed again row by row.  Larger blocks raise
+# characters, cut at their last newline, and the selected cells of a
+# block are converted in one pass; a block holding a short row or a cell
+# float() rejects is parsed again row by row.  Larger blocks raise
 # audit's peak memory and gain nothing.
 CSV_BLOCK = 1 << 16
-CSV_CHUNK = 8192
 
 
 def _parse_cell(cell: str) -> float | None:
@@ -109,36 +108,30 @@ def _take_rows(rows, idx: int, strict: bool, values: array) -> int:
 
 def _take_lines(lines: list[str], idx: int, strict: bool, values: array) -> int:
     """:func:`_take_rows` over lines holding no quote or carriage return,
-    one ``float`` conversion per chunk of CSV_CHUNK lines."""
-    skipped = 0
-    for lo in range(0, len(lines), CSV_CHUNK):
-        chunk = lines[lo:lo + CSV_CHUNK]
-        try:
-            cells = [ln.split(",")[idx] for ln in chunk]
-            # into a fresh array: values.extend would keep the cells before a bad one
-            vals = array("d", map(float, cells))
-        except (IndexError, ValueError):
-            skipped += _take_rows([ln.split(",") for ln in chunk], idx, strict, values)
-            continue
-        arr = np.frombuffer(vals)
-        finite = np.isfinite(arr)
-        if finite.all():
-            values.extend(vals)
-            continue
-        if strict:
-            raise _unparseable(idx, cells[int(np.argmin(finite))])
-        skipped += len(arr) - int(np.count_nonzero(finite))
-        values.frombytes(arr[finite].tobytes())
-    return skipped
+    with one ``float`` conversion for all of them."""
+    try:
+        cells = [ln.split(",")[idx] for ln in lines]
+        # into a fresh array: values.extend would keep the cells before a bad one
+        vals = array("d", map(float, cells))
+    except (IndexError, ValueError):
+        return _take_rows([ln.split(",") for ln in lines], idx, strict, values)
+    arr = np.frombuffer(vals)
+    finite = np.isfinite(arr)
+    if finite.all():
+        values.extend(vals)
+        return 0
+    if strict:
+        raise _unparseable(idx, cells[int(np.argmin(finite))])
+    values.frombytes(arr[finite].tobytes())
+    return len(arr) - int(np.count_nonzero(finite))
 
 
 def _take_rest(fh, idx: int, strict: bool, values: array) -> int:
-    """:func:`_take_rows` over the rest of ``fh``: blocks of CSV_BLOCK
-    characters, cut at their last newline, go to :func:`_take_lines` until
-    one holds a quote or a carriage return; ``csv.reader`` parses the rest."""
+    """:func:`_take_rows` over the rest of ``fh``, read in blocks as
+    :func:`read_return_series` describes."""
     skipped, carry = 0, ""
     while block := fh.read(CSV_BLOCK):
-        if '"' in block or "\r" in block:
+        if '"' in block or "\r" in block or len(carry) + len(block) > csv.field_size_limit():
             # carry + block + the rest of its last line: whole lines, as csv reads them
             head = io.StringIO(carry + block + fh.readline(), newline="")
             return skipped + _take_rows(csv.reader(chain(head, fh)), idx, strict, values)
@@ -164,8 +157,9 @@ def read_return_series(path, column=None, *, strict: bool = False) -> tuple[Retu
 
     ``csv.reader`` reads the header and the first data row.  The rest is
     read in blocks of ``CSV_BLOCK`` characters, each line's cell taken as
-    ``line.split(",")[column]``, until a block holds a quote or a carriage
-    return; from there ``csv.reader`` reads the rest of the file.
+    ``line.split(",")[column]``, until a block holds a quote, a carriage
+    return or a line that may exceed ``csv.field_size_limit()``; then
+    ``csv.reader`` reads the rest, and a longer field fails, quoted or not.
     """
     path = Path(path)
     if not path.is_file():
@@ -201,7 +195,7 @@ def read_return_series(path, column=None, *, strict: bool = False) -> tuple[Retu
             values = array("d")
             skipped = _take_rows((first,), idx, strict, values)
             skipped += _take_rest(fh, idx, strict, values)
-    except csv.Error as exc:  # e.g. a quoted field over csv.field_size_limit()
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise DataError(f"malformed CSV in {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot decode {path}: {exc}") from None
@@ -318,6 +312,17 @@ def empirical_kurtosis(sample) -> float:
     return float(np.mean(c ** 4) / (m2 * m2))
 
 
+def _check_level(k) -> float:
+    if not 0.0 < float(k) < math.inf:
+        raise ValueError(f"k_sigmas must be finite and positive, got {k}")
+    return float(k)
+
+
+def _check_factor(factor) -> None:
+    if not 1.0 <= factor < math.inf:
+        raise ValueError(f"factor must be finite and >= 1, got {factor}")
+
+
 @dataclass(frozen=True)
 class ExceedanceRow:
     k_sigmas: float
@@ -343,10 +348,7 @@ def exceedance_counts(sample, k_sigmas_list) -> list[ExceedanceRow]:
     n = len(x)
     dev = np.abs(x - mu)
     rows = []
-    for k in k_sigmas_list:
-        k = float(k)
-        if k <= 0:
-            raise ValueError("k_sigmas must be positive")
+    for k in map(_check_level, k_sigmas_list):
         observed = int(np.count_nonzero(dev > k * sigma))
         expected_normal = n * float(erfc(k / math.sqrt(2.0)))
         gauss = n * 4.0 / (9.0 * k * k) if k * k >= 4.0 / 3.0 else None
@@ -370,11 +372,10 @@ def tail_ratio_curve(dist_or_sample, x_grid, factor: float = 1.5) -> list[tuple[
     A point is undefined when the denominator is 0 (empirical) or below
     the analytic floor.
     """
-    if factor < 1.0:
-        raise ValueError("factor must be >= 1")
+    _check_factor(factor)
     xs = np.asarray(x_grid, dtype=float)
-    if len(xs) == 0 or np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
-        raise ValueError("x_grid must be increasing and positive")
+    if len(xs) == 0 or not np.all((xs > 0) & (xs < np.inf)) or np.any(np.diff(xs) <= 0):
+        raise ValueError("x_grid must be finite, increasing and positive")
 
     if hasattr(dist_or_sample, "survival"):
         surv = dist_or_sample.survival
@@ -422,18 +423,20 @@ def build_tail_report(series: ReturnSeries, *, levels=(3.0, 5.0, 10.0),
     """All diagnostics over one series: exceedance counts at each k-sigma
     level of ``levels``, Hill estimates on the ``hill_tail`` tail, and the
     empirical tail ratio at ``ratio_factor`` over the RATIO_QUANTILES grid.
-    Failed fields are marked in ``notes`` instead of aborting the report."""
+    A bad level or factor raises ValueError before any section is computed;
+    a field the data do not support is marked in ``notes`` instead."""
+    levels = [_check_level(k) for k in levels]
+    _check_factor(ratio_factor)
     x = series.values
     n = len(x)
     mean = float(x.mean())
     sigma = float(x.std())
     notes: list[str] = []
 
-    kurt: float | None
+    kurt: float | None = None
     try:
         kurt = empirical_kurtosis(x)
     except ValueError as exc:
-        kurt = None
         notes.append(f"kurtosis unavailable: {exc}")
 
     exceed: list[ExceedanceRow] = []

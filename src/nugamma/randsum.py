@@ -22,7 +22,7 @@ random stream each (see ``parallel``), and a chunk draws all its nu at
 once.  Symmetrized gamma summands are then summed in closed form -- nu
 SG(m) variates add up to Gamma(nu/m, sqrt(m)) - Gamma(nu/m, sqrt(m)) --
 and uniform ones are drawn flat and reduced per replicate; the literal
-one-replicate loop ``random_sum_sample`` is the batched path's reference.
+one-replicate loop in ``tests/oracles.py`` is the batched path's reference.
 """
 
 from __future__ import annotations
@@ -117,13 +117,6 @@ class RandomSumConfig:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-
-
-def random_sum_sample(config: RandomSumConfig, rng: np.random.Generator) -> float:
-    """One draw of p^(1/2) * sum_{j=1}^{nu} Y_j from the given stream."""
-    nu = int(config.family.sample(rng))
-    y = config.component.sample(rng, nu)
-    return math.sqrt(config.family.p) * float(y.sum())
 
 
 def _flat_sums(rng: np.random.Generator, nu: np.ndarray, component: Component) -> np.ndarray:
@@ -248,6 +241,7 @@ class EcdfStableFit:
     lam: float
     residual: float
     ks: float
+    cdf: np.ndarray  # the fitted CDF on the grid of the fit
 
 
 def fit_stable_to_ecdf(grid: np.ndarray, ecdf: np.ndarray,
@@ -255,8 +249,8 @@ def fit_stable_to_ecdf(grid: np.ndarray, ecdf: np.ndarray,
     """Least-squares symmetric-stable CDF fit to an empirical CDF table.
 
     Deterministic bounded Nelder-Mead over (alpha, lambda); the reported
-    ks is the sup distance between the table and the fitted CDF on the
-    same grid.  Raises FitError when Nelder-Mead does not converge.
+    ks is the sup distance between the table and the fitted CDF ``cdf`` on
+    the same grid.  Raises FitError when Nelder-Mead does not converge.
     """
     if start is None:
         start = (1.9, 0.5)
@@ -273,4 +267,4 @@ def fit_stable_to_ecdf(grid: np.ndarray, ecdf: np.ndarray,
     alpha, lam = float(res.x[0]), float(res.x[1])
     model = SymmetricStable(alpha=alpha, lam=lam).cdf_grid(grid)
     return EcdfStableFit(alpha=alpha, lam=lam, residual=float(res.fun),
-                         ks=float(np.max(np.abs(ecdf - model))))
+                         ks=float(np.max(np.abs(ecdf - model))), cdf=model)

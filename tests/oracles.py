@@ -23,6 +23,9 @@ tautology:
   package reads the rows in one pass, splitting unquoted lines itself.
 * ``hill_estimate_full_sort``: the Hill estimator over a stable sort of
   every value; the package partitions and sorts only the top k+1.
+* ``random_sum_sample``: one normalized random sum, its nu summands drawn
+  one replicate at a time; the package draws replicates in chunks and
+  sums symmetrized gamma summands in closed form.
 
 Frozen dictionaries at the bottom were produced by exactly these
 functions; the slow ones are cross-checked live on a thin subsample in
@@ -206,6 +209,13 @@ def hill_estimate_full_sort(sample, k, tail="abs"):
     if threshold <= 0.0:
         raise ValueError("Hill estimator needs at least k+1 strictly positive values")
     return float(np.mean(np.log(s[-k:]) - math.log(threshold)))
+
+
+def random_sum_sample(config, rng):
+    """One draw of p^(1/2) * sum_{j=1}^{nu} Y_j from the given stream."""
+    nu = int(config.family.sample(rng))
+    y = config.component.sample(rng, nu)
+    return math.sqrt(config.family.p) * float(y.sum())
 
 
 def log_gamma_mp(x, dps=30):

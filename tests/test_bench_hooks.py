@@ -74,3 +74,9 @@ def test_traced_pass_records_every_layer(workload, tmp_path):
         calls[layer] = calls.get(layer, 0) + st["calls"]
     silent = [layer for layer in workloads.EXPECTED_LAYERS[workload] if not calls.get(layer)]
     assert silent == []
+    if workload == "montecarlo":
+        # fig2's fit: one stable CDF per Nelder-Mead evaluation, plus the
+        # fitted curve, which the chart reuses
+        stats = result["stats"]
+        nfev = stats["randsum.nm"]["counters"]["nfev"]
+        assert stats["dist.stable_cdf_grid"]["calls"] == nfev + 1

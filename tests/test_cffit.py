@@ -10,7 +10,6 @@ from nugamma.cffit import (
     fit_stable_cf_values,
     fit_stable_to_cf,
     sum_cf,
-    table3_sweep,
     verify_sandwich,
 )
 from nugamma.dist import SymmetrizedGamma
@@ -145,26 +144,25 @@ class TestFitStable:
 
 
 class TestTable3Sweep:
+    """The reference sweep: one ls-cf fit per n at m = 20 over (0.005, 0.5)."""
+
+    @staticmethod
+    def _sweep():
+        w = FitWindow(0.005, 0.5, 256)
+        return [(n, fit_stable_to_cf(20.0, n, w)) for n in sorted(oracles.TABLE3_REFERENCE)]
+
     def test_matches_reference_within_tolerance(self):
-        rows = table3_sweep()
-        assert len(rows) == 11
-        for n, fit in rows:
+        for n, fit in self._sweep():
             ra, rl = oracles.TABLE3_REFERENCE[n]
             assert fit.alpha == pytest.approx(ra, abs=0.05), n
             assert fit.lam == pytest.approx(rl, abs=0.1), n
 
     def test_columns_strictly_increasing(self):
-        rows = table3_sweep()
+        rows = self._sweep()
         alphas = [f.alpha for _, f in rows]
         lams = [f.lam for _, f in rows]
         assert all(b > a for a, b in zip(alphas, alphas[1:]))
         assert all(b > a for a, b in zip(lams, lams[1:]))
-
-    def test_single_element_consistency(self):
-        w = FitWindow(0.005, 0.5, 256)
-        [(n, fit)] = table3_sweep(20.0, [10], w)
-        direct = fit_stable_to_cf(20.0, 10, w)
-        assert (fit.alpha, fit.lam) == (direct.alpha, direct.lam)
 
 
 class TestWindowValidation:

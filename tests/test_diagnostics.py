@@ -208,6 +208,12 @@ class TestExceedanceCounts:
         with pytest.raises(ValueError):
             exceedance_counts(np.ones(50), [2.0])
 
+    @pytest.mark.parametrize("level", [-1.0, 0.0, math.nan, math.inf])
+    def test_level_must_be_finite_and_positive(self, level):
+        x = child_rng(SEED, 26).normal(size=100)
+        with pytest.raises(ValueError, match="k_sigmas must be finite and positive"):
+            exceedance_counts(x, [3.0, level])
+
 
 class TestTailRatioCurve:
     def test_exponential_callable(self):
@@ -228,8 +234,9 @@ class TestTailRatioCurve:
         assert all(r == pytest.approx(1.0) for _, r in curve)
 
     def test_factor_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            tail_ratio_curve(lambda x: math.exp(-x), [1.0, 2.0], 0.9)
+        for factor in (0.9, math.nan, math.inf):  # and a factor that is not finite
+            with pytest.raises(ValueError, match="factor must be finite and >= 1"):
+                tail_ratio_curve(lambda x: math.exp(-x), [1.0, 2.0], factor)
 
     def test_analytic_m50_fixtures(self):
         d = SymmetrizedGamma(50.0)
@@ -263,10 +270,9 @@ class TestTailRatioCurve:
         assert curve[0][1] is None  # nothing above 3.75
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            tail_ratio_curve(lambda x: math.exp(-x), [2.0, 1.0], 1.5)
-        with pytest.raises(ValueError):
-            tail_ratio_curve(lambda x: math.exp(-x), [-1.0, 1.0], 1.5)
+        for grid in ([2.0, 1.0], [-1.0, 1.0], [1.0, math.inf], [math.nan, 1.0], [1.0, math.nan]):
+            with pytest.raises(ValueError, match="x_grid must be finite"):
+                tail_ratio_curve(lambda x: math.exp(-x), grid, 1.5)
 
 
 class TestKolmogorovSmirnov:
@@ -365,7 +371,10 @@ class TestReturnSeriesIngestion:
         b'x\n1.0\n"' + b"9" * (csv.field_size_limit() + 1) + b'"\n2.0\n',  # data field
         b'"' + b"x" * (csv.field_size_limit() + 1) + b'"\n1.0\n2.0\n',      # header cell
         b"x\n1.0\n\xff\xfe\n2.0\n",                                         # not UTF-8
-    ], ids=["long-field", "long-header", "undecodable"])
+        # the same rule without quotes, though float() takes both cells
+        b"x\n1.0\n" + b"9" * (csv.field_size_limit() + 1) + b"\n2.0\n",
+        b"x\n1.0\n" + b"0" * (csv.field_size_limit() + 1) + b"\n2.0\n",
+    ], ids=["long-field", "long-header", "undecodable", "long-unquoted", "long-zeros"])
     def test_unreadable_file_is_data_error(self, tmp_path, body):
         p = tmp_path / "bad.csv"
         p.write_bytes(body)
@@ -414,39 +423,37 @@ class TestReturnSeriesIngestion:
 
 
 class TestBlockPath:
-    """The block path against the csv.reader reference, with blocks and
-    chunks shrunk so that a small file spans many of each."""
+    """The block path against the csv.reader reference, with blocks shrunk
+    so that a small file spans many of them."""
 
     @staticmethod
-    def _compare(path, column, strict, block, chunk):
+    def _compare(path, column, strict, block):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(diagnostics, "CSV_BLOCK", block)
-            mp.setattr(diagnostics, "CSV_CHUNK", chunk)
             got = _read_outcome(read_return_series, path, column, strict)
         assert got == _read_outcome(oracles.read_return_series_two_pass, path, column, strict)
 
     @settings(max_examples=300, deadline=None)
     @given(header=st.lists(_HEADER.filter(lambda h: '"' not in h), max_size=1),
            rows=st.lists(_PLAIN_ROW, min_size=1, max_size=40), last_eol=st.booleans(),
-           column=_COLUMN, strict=st.booleans(),
-           block=st.sampled_from([1, 2, 5, 16, 64]), chunk=st.sampled_from([1, 3, 8192]))
+           column=_COLUMN, strict=st.booleans(), block=st.sampled_from([1, 2, 5, 16, 64]))
     def test_matches_csv_reader(self, tmp_path_factory, header, rows, last_eol, column,
-                                strict, block, chunk):
+                                strict, block):
         p = tmp_path_factory.getbasetemp() / "block.csv"
         p.write_bytes(("\n".join(header + rows) + ("\n" if last_eol else "")).encode())
-        self._compare(p, column, strict, block, chunk)
+        self._compare(p, column, strict, block)
 
     @settings(max_examples=200, deadline=None)
     @given(before=st.lists(_PLAIN_ROW, min_size=1, max_size=20), special=_CSV_ONLY_ROW,
            after=_PLAIN_ROWS, crlf=st.booleans(), column=_COLUMN, strict=st.booleans(),
-           block=st.sampled_from([1, 3, 16]), chunk=st.sampled_from([1, 4]))
+           block=st.sampled_from([1, 3, 16]))
     def test_quote_or_carriage_return_mid_file(self, tmp_path_factory, before, special, after,
-                                               crlf, column, strict, block, chunk):
+                                               crlf, column, strict, block):
         # the quoted row, or CRLF line ends from there on, first appear mid-file
         tail = "\r\n".join(after) if crlf else "\n".join([special] + after)
         p = tmp_path_factory.getbasetemp() / "mid.csv"
         p.write_bytes(("t,ret\n" + "\n".join(before) + "\n" + tail + "\n").encode())
-        self._compare(p, column, strict, block, chunk)
+        self._compare(p, column, strict, block)
 
     @pytest.mark.parametrize("bad, first", [
         ("1\n2\ninf\nabc\n5\n", "'inf'"),    # non-finite first: the numpy filter
@@ -454,7 +461,6 @@ class TestBlockPath:
         ("1,1\n2,2\n3\n4,inf\n", "None"),    # a short row, no cell at all
     ])
     def test_strict_names_first_bad_cell(self, tmp_path, monkeypatch, bad, first):
-        monkeypatch.setattr(diagnostics, "CSV_CHUNK", 8)
         monkeypatch.setattr(diagnostics, "CSV_BLOCK", 6)
         p = tmp_path / "s.csv"
         p.write_text("x,y\n" + bad)
@@ -464,6 +470,23 @@ class TestBlockPath:
         assert str(exc.value) == f"unparseable value in column {column}: {first}"
         assert str(exc.value) == _read_outcome(oracles.read_return_series_two_pass, p,
                                                column, True)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_short_lines_fill_a_block(self, tmp_path, strict):
+        # at the real block size, lines of at most 4 characters put more than
+        # 8192 of them in one block; NA rows and an unparseable cell send
+        # their blocks row by row, and nan and inf take the finite filter
+        cells = [str(i % 97) for i in range(60000)]
+        for i in range(100, 9000, 1000):
+            cells[i] = "NA"
+        cells[30000], cells[31000], cells[50000] = "nan", "inf", "abc"
+        assert diagnostics.CSV_BLOCK // max(len(c) + 1 for c in cells) > 8192
+        p = tmp_path / "short.csv"
+        p.write_text("x\n" + "\n".join(cells) + "\n")
+        got = _read_outcome(read_return_series, p, None, strict)
+        assert got == _read_outcome(oracles.read_return_series_two_pass, p, None, strict)
+        if not strict:
+            assert got[1] == 9 + 3
 
 
 class TestBuildTailReport:
@@ -486,6 +509,17 @@ class TestBuildTailReport:
         assert [h.gamma_hat for h in rep.hill] == [
             hill_estimate(x, hill_k(rule, len(x)), tail="abs") for rule in HILL_RULES]
         assert all(r == 1.0 for _, r in rep.tail_ratio)
+
+    @pytest.mark.parametrize("option", [{"levels": (3.0, -1.0)}, {"levels": (math.nan,)},
+                                        {"levels": (math.inf,)}, {"ratio_factor": 0.5},
+                                        {"ratio_factor": math.nan}], ids=str)
+    def test_bad_option_raises_before_any_section(self, monkeypatch, option):
+        def no_section(*args, **kwargs):
+            raise AssertionError("a section ran before the options were checked")
+
+        monkeypatch.setattr(diagnostics, "empirical_kurtosis", no_section)
+        with pytest.raises(ValueError, match="must be finite"):
+            build_tail_report(ReturnSeries(np.ones(50)), **option)
 
     def test_constant_series_marks_fields(self):
         rep = build_tail_report(ReturnSeries(np.ones(50)))

@@ -18,9 +18,10 @@ from nugamma.randsum import (
     fit_stable_to_ecdf,
     prelimit_experiment,
     random_sum_draws,
-    random_sum_sample,
     theorem1_experiment,
 )
+
+import oracles
 
 SEED = 0x5EED
 
@@ -126,7 +127,7 @@ class TestBatchedSums:
         cfg = RandomSumConfig(NuFamily(2, p), component, reps, SEED)
         batched = random_sum_draws(cfg)
         rng = child_rng(SEED, 47)
-        loop = np.array([random_sum_sample(cfg, rng) for _ in range(reps)])
+        loop = np.array([oracles.random_sum_sample(cfg, rng) for _ in range(reps)])
         assert ks_2samp(batched, loop).pvalue > 1e-3
 
     def test_flat_sums_split_on_replicate_boundaries(self, monkeypatch):
@@ -258,6 +259,9 @@ class TestEcdfStableFit:
         assert fit.alpha == pytest.approx(1.5, abs=5e-3)
         assert fit.lam == pytest.approx(0.8, abs=5e-3)
         assert fit.ks < 1e-3
+        # the returned curve is the fitted law's CDF, the one ks measures
+        assert fit.cdf.tolist() == SymmetricStable(fit.alpha, fit.lam).cdf_grid(grid).tolist()
+        assert fit.ks == float(np.max(np.abs(vals - fit.cdf)))
 
     def test_nonconvergence_raises(self, monkeypatch, stalled_minimize):
         monkeypatch.setattr(randsum, "minimize", stalled_minimize)

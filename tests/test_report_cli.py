@@ -160,6 +160,32 @@ class TestExitCodes:
         assert out.stderr.startswith("data error: ") and out.stderr.count("\n") == 1
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("cell", [b'"' + b"9" * 200000 + b'"', b"9" * 200000, b"0" * 200000],
+                             ids=["quoted", "unquoted", "zeros"])
+    def test_over_long_cell_is_data_error(self, tmp_path, cell):
+        # unquoted, the digits once read as one skipped row and the zeros as 0.0
+        p = tmp_path / "long.csv"
+        p.write_bytes(b"t,ret\n0,0.5\n1," + cell + b"\n2,-0.5\n3,1.5\n")
+        out = _cli_subprocess(["audit", str(p), "--column", "ret"])
+        assert out.returncode == 2
+        assert out.stderr.startswith("data error: malformed CSV") and "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["audit", "--factor", "0.5"], ["audit", "--levels", "-1"], ["audit", "--levels", "nan"],
+        ["audit", "--factor", "nan"], ["fig1", "--factor", "nan"], ["fig1", "--x-max", "inf"],
+    ], ids=" ".join)
+    def test_bad_tail_option_is_usage_error(self, tmp_path, args):
+        # these exited 0: audit wrote the error into its notes, fig1 took nan
+        # as a factor, and an infinite x range printed numpy warnings
+        if args[0] == "audit":
+            p = tmp_path / "r.csv"
+            x = child_rng(0x5EED, 5).normal(size=200)
+            p.write_text("ret\n" + "".join(f"{v!r}\n" for v in x.tolist()))
+            args = ["audit", str(p), *args[1:]]
+        out = _cli_subprocess(args)
+        assert out.returncode == 1
+        assert out.stderr.startswith("usage error: ") and out.stderr.count("\n") == 1
+
     def test_randsum_over_draw_budget_is_usage_error(self, capsys):
         assert run(["randsum", "--reps", "100000", "--p-schedule", "0.01,0.000001"]) == 1
         assert "budget" in capsys.readouterr().err
