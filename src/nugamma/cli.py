@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--m", type=float, default=10.0)
     q.add_argument("--n", type=int, default=10000)
     q.add_argument("--sims", type=_count, default=100)
-    q.add_argument("--tail", choices=("positive", "abs"), default=diagnostics.DEFAULT_HILL_TAIL)
+    q.add_argument("--tail", choices=diagnostics.HILL_TAILS, default=diagnostics.DEFAULT_HILL_TAIL)
 
     q = sub.add_parser("bounds", parents=[common],
                        help="unimodal and Chebyshev deviation bounds with expected counts")
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--strict", action="store_true", help="abort on unparseable rows")
     q.add_argument("--levels", type=_float_list, default=[3.0, 5.0, 10.0])
     q.add_argument("--factor", type=float, default=1.5)
-    q.add_argument("--hill-tail", choices=("positive", "abs"),
+    q.add_argument("--hill-tail", choices=diagnostics.HILL_TAILS,
                    default=diagnostics.DEFAULT_HILL_TAIL)
 
     q = sub.add_parser("randsum", parents=[common],
@@ -286,11 +286,14 @@ def _cmd_bounds(args):
 
 
 def _cmd_audit(args):
+    # a bad option fails before the file is read
+    levels = [diagnostics._check_level(k) for k in args.levels]
+    diagnostics._check_factor(args.factor)
     series, skipped = diagnostics.read_return_series(args.input_path, args.column,
                                                      strict=args.strict)
     if float(series.values.std()) == 0.0:
         raise DataError("degenerate series: zero variance")
-    rep = diagnostics.build_tail_report(series, levels=tuple(args.levels),
+    rep = diagnostics.build_tail_report(series, levels=levels,
                                         hill_tail=args.hill_tail, ratio_factor=args.factor)
     payload = {
         "summary": [{"label": series.label, "n": rep.n, "mean": rep.mean,

@@ -29,6 +29,7 @@ RATIO_QUANTILES = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98)
 # below them at the two larger k rules, so "positive" is the default for
 # experiments and reports.
 DEFAULT_HILL_TAIL = "positive"
+HILL_TAILS = ("positive", "abs")
 
 
 # ----------------------------------------------------------------------
@@ -230,13 +231,15 @@ def ks_critical_value(n: int, level: float = 0.01) -> float:
 # Hill estimator
 # ----------------------------------------------------------------------
 
+def _check_tail(tail: str) -> str:
+    if tail not in HILL_TAILS:
+        raise ValueError(f"tail must be one of {HILL_TAILS}, got {tail!r}")
+    return tail
+
+
 def _hill_values(sample, tail: str) -> np.ndarray:
     x = np.asarray(sample, dtype=float)
-    if tail == "abs":
-        return np.abs(x)
-    if tail == "positive":
-        return x[x > 0.0]
-    raise ValueError(f"tail must be 'abs' or 'positive', got {tail!r}")
+    return np.abs(x) if _check_tail(tail) == "abs" else x[x > 0.0]
 
 
 def hill_estimate(sample, k: int, *, tail: str = "abs") -> float:
@@ -338,8 +341,6 @@ def exceedance_counts(sample, k_sigmas_list) -> list[ExceedanceRow]:
     the normal expectation uses the two-sided tail 2 Phi-bar(k) and the
     unimodal-bound expectation uses 4 / (9 k^2) where valid.
     """
-    from scipy.special import erfc
-
     x = np.asarray(sample, dtype=float)
     mu = float(x.mean())
     sigma = float(x.std())
@@ -350,7 +351,7 @@ def exceedance_counts(sample, k_sigmas_list) -> list[ExceedanceRow]:
     rows = []
     for k in map(_check_level, k_sigmas_list):
         observed = int(np.count_nonzero(dev > k * sigma))
-        expected_normal = n * float(erfc(k / math.sqrt(2.0)))
+        expected_normal = n * math.erfc(k / math.sqrt(2.0))
         gauss = n * 4.0 / (9.0 * k * k) if k * k >= 4.0 / 3.0 else None
         rows.append(ExceedanceRow(k, observed, expected_normal, gauss))
     return rows
@@ -423,9 +424,10 @@ def build_tail_report(series: ReturnSeries, *, levels=(3.0, 5.0, 10.0),
     """All diagnostics over one series: exceedance counts at each k-sigma
     level of ``levels``, Hill estimates on the ``hill_tail`` tail, and the
     empirical tail ratio at ``ratio_factor`` over the RATIO_QUANTILES grid.
-    A bad level or factor raises ValueError before any section is computed;
-    a field the data do not support is marked in ``notes`` instead."""
+    A bad level, tail or factor raises ValueError before any section is
+    computed; a field the data do not support is marked in ``notes`` instead."""
     levels = [_check_level(k) for k in levels]
+    _check_tail(hill_tail)
     _check_factor(ratio_factor)
     x = series.values
     n = len(x)

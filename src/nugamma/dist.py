@@ -133,13 +133,13 @@ class _CdfTable:
 
 @dataclass(frozen=True)
 class SymmetrizedGamma:
-    """Standardized symmetrized gamma law with family parameter m > 0."""
+    """Standardized symmetrized gamma law with finite family parameter m > 0."""
 
     m: float
 
     def __post_init__(self) -> None:
-        if not self.m > 0:
-            raise ValueError(f"m must be positive, got {self.m}")
+        if not 0.0 < self.m < math.inf:
+            raise ValueError(f"m must be finite and positive, got {self.m}")
 
     # gamma-component parameters forced by the characteristic function:
     # shape 1/m and scale sqrt(m) give CF (1 + m t^2)^(-1/m) and variance 2.

@@ -84,27 +84,32 @@ class NuFamily:
 
 @dataclass(frozen=True)
 class Component:
-    """Picklable spec of a centered summand distribution."""
+    """Picklable spec of a centered summand distribution: ``uniform`` on
+    [-param, param], or ``sg``, the symmetrized gamma law with m = param."""
 
     kind: str
     param: float
-    variance: float
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("uniform", "sg"):
+            raise ValueError(f"unknown component kind {self.kind!r}")
+
+    @property
+    def variance(self) -> float:
+        return self.param ** 2 / 3.0 if self.kind == "uniform" else 2.0
 
     @classmethod
     def uniform_var2(cls) -> "Component":
-        hw = math.sqrt(6.0)  # uniform on [-sqrt(6), sqrt(6)] has variance 2
-        return cls(kind="uniform", param=hw, variance=2.0)
+        return cls(kind="uniform", param=math.sqrt(6.0))
 
     @classmethod
     def symmetrized_gamma(cls, m: float) -> "Component":
-        return cls(kind="sg", param=float(m), variance=2.0)
+        return cls(kind="sg", param=float(m))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "uniform":
             return rng.uniform(-self.param, self.param, n)
-        if self.kind == "sg":
-            return SymmetrizedGamma(self.param).sample(rng, n)
-        raise ValueError(f"unknown component kind {self.kind!r}")
+        return SymmetrizedGamma(self.param).sample(rng, n)
 
 
 @dataclass(frozen=True)

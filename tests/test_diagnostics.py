@@ -208,6 +208,15 @@ class TestExceedanceCounts:
         with pytest.raises(ValueError):
             exceedance_counts(np.ones(50), [2.0])
 
+    def test_normal_expectation_is_two_sided_tail(self):
+        # n * 2 Phi-bar(k), against scipy's normal CDF at -k
+        from scipy.special import ndtr
+
+        x = child_rng(SEED, 27).normal(size=1000)
+        for row in exceedance_counts(x, [0.5, 3.0, 5.0, 10.0, 30.0]):
+            want = 2000.0 * ndtr(-row.k_sigmas)
+            assert row.expected_normal == pytest.approx(want, rel=1e-13)
+
     @pytest.mark.parametrize("level", [-1.0, 0.0, math.nan, math.inf])
     def test_level_must_be_finite_and_positive(self, level):
         x = child_rng(SEED, 26).normal(size=100)
@@ -512,13 +521,16 @@ class TestBuildTailReport:
 
     @pytest.mark.parametrize("option", [{"levels": (3.0, -1.0)}, {"levels": (math.nan,)},
                                         {"levels": (math.inf,)}, {"ratio_factor": 0.5},
-                                        {"ratio_factor": math.nan}], ids=str)
+                                        {"ratio_factor": math.nan}, {"hill_tail": "bogus"}],
+                             ids=str)
     def test_bad_option_raises_before_any_section(self, monkeypatch, option):
+        # a bad hill_tail once gave three "hill[...] unavailable" notes instead
         def no_section(*args, **kwargs):
             raise AssertionError("a section ran before the options were checked")
 
         monkeypatch.setattr(diagnostics, "empirical_kurtosis", no_section)
-        with pytest.raises(ValueError, match="must be finite"):
+        message = "tail must be one of" if "hill_tail" in option else "must be finite"
+        with pytest.raises(ValueError, match=message):
             build_tail_report(ReturnSeries(np.ones(50)), **option)
 
     def test_constant_series_marks_fields(self):

@@ -50,6 +50,10 @@ class TestSymmetrizedGammaCF:
             SymmetrizedGamma(0.0)
         with pytest.raises(ValueError):
             SymmetrizedGamma(-3.0)
+        with pytest.raises(ValueError, match="m must be finite and positive"):
+            SymmetrizedGamma(math.inf)
+        with pytest.raises(ValueError, match="m must be finite and positive"):
+            SymmetrizedGamma(math.nan)
 
 
 class TestSymmetrizedGammaPdf:
@@ -133,7 +137,8 @@ class TestSymmetrizedGammaCdf:
         assert SymmetrizedGamma(50.0).cdf(1.1e-6) == pytest.approx(
             0.773508440868216, abs=1e-9)
 
-    @pytest.mark.parametrize("m,x", [(10.0, 200.0), (1.0, 75.0)])
+    @pytest.mark.parametrize("m,x", [(10.0, 200.0), (1.0, 75.0), (10.0, 316.0), (50.0, 707.0),
+                                     (100.0, 1000.0)])
     def test_tail_beyond_table_top_relative(self, m, x):
         # x lies beyond the 50 sqrt(m) table top: the adaptive tail alone
         # must keep relative accuracy there, however small the survival
@@ -141,6 +146,14 @@ class TestSymmetrizedGammaCdf:
         assert x > d._cdf_table._top
         want = float(oracles.sg_tail_mp(x, m))
         assert abs(d.survival(x) / want - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("m,x", list(oracles.SG_DEEP_TAIL))
+    @pytest.mark.parametrize("dps", [15, 20])
+    def test_tail_oracle_converges(self, m, x, dps):
+        # with fixed breakpoints and an unscaled integrand these deep tails
+        # were 1.5e-5 to 2.5e-5 off, at every precision alike
+        got = oracles.sg_tail_mp(x, m, dps=dps)
+        assert abs(float(got) / oracles.SG_DEEP_TAIL[m, x] - 1.0) <= 1e-13
 
     def test_interpolator_matches_scalar(self):
         for m in (1.0, 2.0, 50.0):

@@ -93,8 +93,13 @@ class TestComponents:
         assert x.var() == pytest.approx(2.0, abs=0.1)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Component("weird", 0.0, 1.0).sample(child_rng(SEED, 45), 3)
+        with pytest.raises(ValueError, match="unknown component kind"):
+            Component("weird", 0.0)
+
+    def test_variance_follows_the_law(self):
+        assert Component.uniform_var2().variance == pytest.approx(2.0, rel=1e-15)
+        assert Component("uniform", 1.0).variance == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert Component.symmetrized_gamma(7.0).variance == 2.0
 
 
 class TestRandomSumSample:
@@ -181,7 +186,7 @@ class TestTheorem1:
 
     def test_variance_requirement(self):
         with pytest.raises(ValueError):
-            theorem1_experiment(2, Component("uniform", 1.0, 1.0 / 3.0), [0.1], 10, SEED)
+            theorem1_experiment(2, Component("uniform", 1.0), [0.1], 10, SEED)
 
     def test_single_replicate_degenerate(self):
         rows = theorem1_experiment(2, Component.uniform_var2(), [0.5], 1, SEED)
