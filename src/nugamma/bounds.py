@@ -9,6 +9,7 @@ bound sigma^2 / d^2 is kept as the baseline it improves on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dist import GaussExtremalMixture
@@ -23,6 +24,11 @@ class BoundResult:
     attained_by: GaussExtremalMixture | None = None
 
 
+def _check_d_sigma(d: float, sigma: float) -> None:
+    if not (0 < d < math.inf and 0 < sigma < math.inf):
+        raise ValueError("d and sigma must be finite and positive")
+
+
 def gauss_bound(d: float, sigma: float) -> BoundResult:
     """Sharp unimodal bound 4 sigma^2 / (9 d^2), valid for d^2 >= 4 sigma^2 / 3.
 
@@ -30,8 +36,7 @@ def gauss_bound(d: float, sigma: float) -> BoundResult:
     rather than silently substituting the Chebyshev bound, so tightness
     claims stay attached to the regime they hold in.
     """
-    if not (d > 0 and sigma > 0):
-        raise ValueError("d and sigma must be positive")
+    _check_d_sigma(d, sigma)
     if d * d < 4.0 * sigma * sigma / 3.0:
         raise OutOfRegimeError(
             f"gauss bound requires d^2 >= 4 sigma^2 / 3 (d={d}, sigma={sigma})"
@@ -47,8 +52,7 @@ def gauss_bound(d: float, sigma: float) -> BoundResult:
 
 def chebyshev_bound(d: float, sigma: float) -> BoundResult:
     """Chebyshev bound min(1, sigma^2 / d^2); valid for every d > 0."""
-    if not (d > 0 and sigma > 0):
-        raise ValueError("d and sigma must be positive")
+    _check_d_sigma(d, sigma)
     return BoundResult(level_d=d, bound=min(1.0, sigma * sigma / (d * d)), kind="chebyshev")
 
 

@@ -37,19 +37,93 @@ DEFAULT_METHOD = "ls-cf"
 _METHODS = ("loglog-regression", "ls-cf")
 
 
-def minimize(objective, start, *, bounds):
+# Nelder-Mead settings shared by both stable fits
+_NM_MAXITER = 500
+_NM_TOL = 1e-10  # xatol and fatol
+
+
+@dataclass(frozen=True)
+class MinimizeResult:
+    """What :func:`minimize` returns; ``success`` is False at the iteration cap."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+    message: str
+
+
+def minimize(objective, start, *, bounds) -> MinimizeResult:
     """Bounded Nelder-Mead of both stable fits: iteration cap 500, xatol =
-    fatol = 1e-10; returns scipy's ``OptimizeResult``.
+    fatol = 1e-10.
 
-    scipy.optimize loads on the first call, keeping that 0.25 s import out
-    of ``import nugamma``.  ``randsum`` binds this same function, and each
-    module calls through its own name, so the two fits' optimizer calls
-    can be replaced (or counted) one module at a time.
+    A step-for-step port of scipy's ``_minimize_neldermead`` at these
+    options (initial simplex of 5% steps reflected into the bounds,
+    coefficients 1, 2, 0.5 and 0.5, every trial point clipped, the same
+    sort order), so it returns scipy's ``x``, ``fun``, ``nit`` and
+    ``nfev`` without importing scipy.  ``randsum`` binds this same
+    function, and each module calls through its own name, so the two
+    fits' optimizer calls can be replaced (or counted) one module at a
+    time.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    lower, upper = np.array(bounds, dtype=float).T
+    x0 = np.clip(np.asarray(start, dtype=float), lower, upper)
+    n = len(x0)
+    sim = np.repeat(x0[None, :], n + 1, axis=0)
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    nfev = 0
 
-    return scipy_minimize(objective, start, method="Nelder-Mead", bounds=bounds,
-                          options={"maxiter": 500, "xatol": 1e-10, "fatol": 1e-10})
+    def f(x) -> float:
+        nonlocal nfev
+        nfev += 1
+        return objective(np.copy(x))
+
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    nit = 1
+    for _ in range(2):  # scipy sorts twice before the first step
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    while nit < _NM_MAXITER:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= _NM_TOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_TOL):
+            break
+        xbar = sim[:-1].sum(axis=0) / n
+        xr = np.clip(2 * xbar - sim[-1], lower, upper)
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = np.clip(3 * xbar - 2 * sim[-1], lower, upper)
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # contract outside the simplex or inside it; if that is no
+            # better, shrink toward the best vertex
+            if fxr < fsim[-1]:
+                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lower, upper)
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:
+                xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lower, upper)
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lower, upper)
+                    fsim[j] = f(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        nit += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    success = nit < _NM_MAXITER
+    return MinimizeResult(
+        x=sim[0], fun=np.min(fsim), nit=nit, nfev=nfev, success=success,
+        message=("Optimization terminated successfully." if success
+                 else "Maximum number of iterations has been exceeded."))
 
 
 @dataclass(frozen=True)
@@ -61,8 +135,8 @@ class FitWindow:
     grid_size: int = 256
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.delta < self.Delta):
-            raise ValueError("need 0 < delta < Delta")
+        if not (0.0 < self.delta < self.Delta < math.inf):
+            raise ValueError("need 0 < delta < Delta < inf")
         if self.grid_size < 8:
             raise ValueError("grid_size must be >= 8")
 
@@ -139,6 +213,8 @@ def feasible_lambda_interval(m_eff: float, alpha: float, delta: float) -> tuple[
 
 
 def _loglog_fit(ts: np.ndarray, fvals: np.ndarray) -> tuple[float, float, float]:
+    if not np.all(fvals > 0.0):
+        raise FitError("f underflows to 0 on the grid; window too far from 0")
     neglog = -np.log(fvals)
     if np.any(neglog <= 0.0):
         raise FitError("-ln f underflows on the grid; window too close to 0")

@@ -14,9 +14,11 @@ density
 and kurtosis 3(1 + m).  The density is finite at 0 for m < 2 and diverges
 (logarithmically at m = 2, like |x|^(2/m - 1) for m > 2) otherwise.
 
-``scipy.special`` is imported where its functions are called, so that
-commands which evaluate no density or CDF (``bounds``, ``hill``) do not
-pay its 0.4 s import.
+Only the symmetrized gamma density uses scipy: ``scipy.special``
+(``gammaln``, ``kve``) is imported where it is called, so that commands
+which evaluate no such density or CDF (``bounds``, ``hill``, ``audit``,
+``fig2``, ``table3``) do not pay its 0.3 s import.  The characteristic
+functions, the stable CDF and sampling need numpy alone.
 """
 
 from __future__ import annotations
@@ -171,7 +173,8 @@ class SymmetrizedGamma:
     def cf(self, t):
         """Characteristic function (1 + m t^2)^(-1/m); even, in (0, 1]."""
         t = np.asarray(t, dtype=float)
-        out = (1.0 + self.m * t * t) ** (-1.0 / self.m)
+        with np.errstate(over="ignore"):  # m t^2 overflows to inf where f is 0
+            out = (1.0 + self.m * t * t) ** (-1.0 / self.m)
         return float(out) if out.ndim == 0 else out
 
     @cached_property
@@ -341,9 +344,7 @@ class SymmetricStable:
         if self.alpha == 1.0:
             tail = np.arctan2(self.lam, ax) / math.pi
         elif self.alpha == 2.0:
-            from scipy.special import ndtr
-
-            tail = ndtr(-ax / math.sqrt(2.0 * self.lam))
+            tail = np.array([0.5 * math.erfc(v) for v in ax / (2.0 * math.sqrt(self.lam))])
         else:
             with np.errstate(divide="ignore"):
                 log_z = np.log(ax) - math.log(self.lam) / self.alpha
@@ -361,17 +362,16 @@ class SymmetricStable:
         and V = (cos theta / sin(alpha theta))^p cos((alpha-1) theta) / cos theta.
         Nodes are in u = logit(2 theta / pi).
         """
-        from scipy.special import expit
-
         a = self.alpha
         p = a / (a - 1.0)
         near = abs(a - 1.0) < _STABLE_NEAR_ONE
         if near:
             # g rises from 0 to 1 over about 1/|p| in u; as alpha -> 1 it
             # becomes a step at u*, where theta = arctan z.  The panels take
-            # g minus that step, whose own integral is expit(-u*) / 2.
+            # g minus that step, whose own integral is 1 / (2 (1 + e^u*)).
             with np.errstate(divide="ignore", over="ignore"):
                 centre = np.log(np.arctan(np.exp(log_z)) / np.arctan(np.exp(-log_z)))[:, None]
+                step_mass = 0.5 / (1.0 + np.exp(centre[:, 0]))
             edges = np.clip(centre + _STABLE_STEPS / abs(p), -_STABLE_U, _STABLE_U)
         else:
             edges = _STABLE_EDGES[None, :]
@@ -380,7 +380,7 @@ class SymmetricStable:
         weight = (half * _GL_WEIGHTS).reshape(len(edges), -1)
         # theta = (pi/2) e and pi/2 - theta = (pi/2) d; cos theta is taken as
         # sin((pi/2) d), so the far tail, near theta = pi/2, is not rounded away
-        e, d = expit(u), expit(-u)
+        e, d = 1.0 / (1.0 + np.exp(-u)), 1.0 / (1.0 + np.exp(u))
         theta = _HALF_PI * e
         log_v = ((p - 1.0) * np.log(np.sin(_HALF_PI * d)) - p * np.log(np.sin(a * theta))
                  + np.log(np.cos((a - 1.0) * theta)))
@@ -393,7 +393,7 @@ class SymmetricStable:
             g -= u > centre
         tail = np.einsum("ij,ij->i", g, 0.5 * weight * e * d)  # dtheta/pi = e d du/2
         if near:
-            tail += 0.5 * expit(-centre[:, 0])
+            tail += step_mass
         return tail
 
 

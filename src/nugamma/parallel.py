@@ -11,8 +11,6 @@ one task and one stream per simulation.)
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
 # replicates per random stream; fixed so that payloads do not depend on
@@ -34,6 +32,10 @@ def run_tasks(fn, args_list, workers: int = 1) -> list:
     """
     if workers <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
+    # imported here: the pool machinery (multiprocessing) costs every
+    # import of the package about 0.05 s, and most runs start no pool
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = -(-len(args_list) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list, chunksize=chunksize))

@@ -47,8 +47,9 @@ ECDF_CENTRAL_SPAN = 0.999
 # replicates / p, exceeds this is refused before drawing
 MAX_EXPECTED_SUMMANDS = 2 ** 34
 # flat summand draws are reduced in sub-batches of about this many, split
-# on replicate boundaries, so memory stays flat at every p
-FLAT_BATCH = 2 ** 19
+# on replicate boundaries, so memory stays flat at every p; 1 MiB of
+# doubles stays in a core's L2 cache while it is drawn, scaled and summed
+FLAT_BATCH = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,18 @@ class Component:
     def symmetrized_gamma(cls, m: float) -> "Component":
         return cls(kind="sg", param=float(m))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.kind == "uniform":
-            return rng.uniform(-self.param, self.param, n)
-        return SymmetrizedGamma(self.param).sample(rng, n)
+    def sample(self, rng: np.random.Generator, n: int, out=None) -> np.ndarray:
+        """n draws; uniform ones fill ``out`` (length n) when it is given.
+
+        Uniform draws are scaled in place, bit for bit the values of
+        ``rng.uniform(-param, param, n)``.
+        """
+        if self.kind == "sg":
+            return SymmetrizedGamma(self.param).sample(rng, n)
+        y = rng.random(n, out=out)
+        y *= 2.0 * self.param
+        y -= self.param
+        return y
 
 
 @dataclass(frozen=True)
@@ -126,14 +135,18 @@ class RandomSumConfig:
 
 def _flat_sums(rng: np.random.Generator, nu: np.ndarray, component: Component) -> np.ndarray:
     """Per-replicate sums of flat ``component.sample`` draws, in sub-batches
-    of about FLAT_BATCH summands that end on replicate boundaries."""
+    of about FLAT_BATCH summands that end on replicate boundaries; every
+    sub-batch is drawn into the same buffer."""
     ends = np.cumsum(nu)
     out = np.empty(len(nu))
+    # a sub-batch holds at most FLAT_BATCH summands, or one replicate's
+    buf = np.empty(min(int(ends[-1]), max(FLAT_BATCH, int(nu.max()))))
     lo = 0
     while lo < len(nu):
         start = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, start + FLAT_BATCH, side="right")))
-        y = component.sample(rng, int(ends[hi - 1]) - start)
+        size = int(ends[hi - 1]) - start
+        y = component.sample(rng, size, out=buf[:size])
         out[lo:hi] = np.add.reduceat(y, ends[lo:hi] - nu[lo:hi] - start)
         lo = hi
     return out

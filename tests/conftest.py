@@ -3,7 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+
+from nugamma.cffit import MinimizeResult
 
 # make tests/oracles.py importable regardless of invocation directory
 sys.path.insert(0, str(Path(__file__).parent))
@@ -11,9 +12,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture
 def stalled_minimize():
-    """Stand-in for scipy's ``minimize`` that reports non-convergence."""
+    """Stand-in for ``cffit.minimize`` that reports non-convergence."""
     def stalled(fun, x0, **kwargs):
-        return OptimizeResult(x=np.asarray(x0), fun=fun(x0), success=False,
+        return MinimizeResult(x=np.asarray(x0), fun=fun(x0), success=False,
                               message="Maximum number of iterations has been exceeded.",
                               nit=500, nfev=1000)
     return stalled

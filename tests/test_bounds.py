@@ -42,6 +42,11 @@ class TestGaussBound:
             gauss_bound(-1.0, 1.0)
         with pytest.raises(ValueError):
             gauss_bound(1.0, 0.0)
+        for d, sigma in [(math.inf, 1.0), (2.0, math.inf), (math.nan, 1.0)]:
+            with pytest.raises(ValueError, match="finite and positive"):
+                gauss_bound(d, sigma)
+            with pytest.raises(ValueError, match="finite and positive"):
+                chebyshev_bound(d, sigma)
 
 
 class TestChebyshevBound:

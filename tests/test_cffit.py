@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 from nugamma import cffit
 from nugamma.cffit import (
     FitWindow,
     feasible_lambda_interval,
+    minimize,
     fit_stable_cf_values,
     fit_stable_to_cf,
     sum_cf,
     verify_sandwich,
 )
-from nugamma.dist import SymmetrizedGamma
+from nugamma.dist import SymmetricStable, SymmetrizedGamma
 from nugamma.errors import FitError
+from nugamma.randsum import fit_stable_to_ecdf
 
 import oracles
 
@@ -169,7 +172,42 @@ class TestWindowValidation:
     def test_bad_windows(self):
         with pytest.raises(ValueError):
             FitWindow(0.5, 0.005)
+        with pytest.raises(ValueError, match="Delta < inf"):
+            FitWindow(0.005, math.inf)
         with pytest.raises(ValueError):
             FitWindow(0.0, 0.5)
         with pytest.raises(ValueError):
             FitWindow(0.005, 0.5, 4)
+
+
+def _rosenbrock(x) -> float:
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+class TestMinimize:
+    """The package Nelder-Mead against scipy's, run at the same options."""
+
+    @pytest.mark.parametrize("start, bounds, converges", [
+        ((-1.2, 1.0), [(-2.0, 2.0), (-1.0, 3.0)], True),  # interior start and optimum
+        ((2.0, 0.5), [(-2.0, 2.0), (-1.0, 3.0)], True),   # on an upper bound: reflected simplex
+        ((0.0,) * 5, [(-2.0, 2.0)] * 5, False),           # 5-d: exhausts the iteration cap
+    ], ids=["interior", "upper-bound-start", "iteration-cap"])
+    def test_matches_scipy_step_for_step(self, start, bounds, converges):
+        ref = scipy_minimize(_rosenbrock, start, method="Nelder-Mead", bounds=bounds,
+                             options={"maxiter": 500, "xatol": 1e-10, "fatol": 1e-10})
+        res = minimize(_rosenbrock, start, bounds=bounds)
+        assert res.x.tolist() == ref.x.tolist()
+        assert (res.fun, res.nit, res.nfev, res.success) == (ref.fun, ref.nit, ref.nfev,
+                                                             ref.success)
+        assert res.message == ref.message
+        assert res.success is converges
+
+    def test_exhausted_cap_fails_both_fits(self, monkeypatch):
+        # the real optimizer with too few iterations for either fit
+        monkeypatch.setattr(cffit, "_NM_MAXITER", 5)
+        assert not minimize(_rosenbrock, (-1.2, 1.0), bounds=[(-2.0, 2.0)] * 2).success
+        with pytest.raises(FitError, match="Maximum number of iterations"):
+            fit_stable_to_cf(20.0, 10, FitWindow(0.005, 0.5, 256))
+        grid = np.linspace(-6.0, 6.0, 64)
+        with pytest.raises(FitError, match="Maximum number of iterations"):
+            fit_stable_to_ecdf(grid, SymmetricStable(1.5, 0.8).cdf_grid(grid))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import nugamma
-from nugamma import cli, parallel, randsum
+from nugamma import cli, randsum
 from nugamma.cli import run
 from nugamma.dist import SymmetrizedGamma
 from nugamma.errors import FitError
@@ -30,6 +31,22 @@ def _cli_subprocess(args):
     src = os.path.dirname(os.path.dirname(nugamma.__file__))
     return subprocess.run([sys.executable, "-m", "nugamma.cli", *args], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+
+
+def _scipy_modules_after(commands):
+    """Per command, in one fresh interpreter: "name exit-code [scipy modules loaded so far]"."""
+    code = (
+        "import io, sys, contextlib\n"
+        "from nugamma.cli import run\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = run(argv)\n"
+        "    print(argv[0], code, [p for p in sys.modules if p.split('.')[0] == 'scipy'])\n"
+    )
+    src = os.path.dirname(os.path.dirname(nugamma.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
+    return out.stdout.splitlines()
 
 
 def _run_json(tmp_path, args, name="out.json"):
@@ -112,6 +129,20 @@ class TestExitCodes:
         out = _cli_subprocess(args)
         assert out.returncode == 1
         assert out.stderr.startswith("usage error: m must be ") and out.stderr.count("\n") == 1
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("args, code, prefix", [
+        (["bounds", "--sigma", "inf"], 1, "usage error: d and sigma must be finite"),
+        (["bounds", "--d-list", "inf"], 1, "usage error: d and sigma must be finite"),
+        (["table3", "--Delta", "inf"], 1, "usage error: need 0 < delta < Delta < inf"),
+        (["table3", "--Delta", "1e300"], 3, "numeric error: every row failed"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_nonfinite_or_overflowing_inputs_fail_in_one_line(self, args, code, prefix):
+        # these exited 0 with blank or meaningless rows, or after numpy
+        # warnings and LAPACK messages
+        out = _cli_subprocess(args)
+        assert out.returncode == code
+        assert out.stderr.startswith(prefix) and out.stderr.count("\n") == 1
         assert "Traceback" not in out.stderr
 
     def test_data_constant_series(self, tmp_path, capsys):
@@ -232,23 +263,26 @@ class TestExitCodes:
                              env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
         assert out.stdout.strip() == "[]"
 
+    def test_import_loads_no_process_pool(self):
+        # the pool machinery loads only when a pool starts
+        src = os.path.dirname(os.path.dirname(nugamma.__file__))
+        code = ("import sys, nugamma.cli; print(sorted(m for m in sys.modules if m in "
+                "('concurrent.futures.process', 'multiprocessing')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
+
     def test_commands_without_quadrature_or_fits_skip_their_imports(self, tmp_path):
         csv_path = tmp_path / "r.csv"
         cells = map(repr, np.linspace(-3.0, 3.0, 200).tolist())
         csv_path.write_text("ret\n" + "\n".join(cells) + "\n")
         commands = [["bounds"], ["hill", "--sims", "2", "--n", "500"], ["audit", str(csv_path)]]
-        code = (
-            "import io, sys, contextlib\n"
-            "from nugamma.cli import run\n"
-            f"for argv in {commands!r}:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        code = run(argv)\n"
-            "    print(argv[0], code, [p for p in sys.modules if p.split('.')[0] == 'scipy'])\n"
-        )
-        src = os.path.dirname(os.path.dirname(nugamma.__file__))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
-        assert out.stdout.splitlines() == ["bounds 0 []", "hill 0 []", "audit 0 []"]
+        assert _scipy_modules_after(commands) == ["bounds 0 []", "hill 0 []", "audit 0 []"]
+
+    def test_fit_commands_load_no_scipy(self):
+        # both fits use the package Nelder-Mead, and the stable CDF is numpy only
+        commands = [["fig2", "--reps", "200", "--n", "300"], ["table3", "--method", "both"]]
+        assert _scipy_modules_after(commands) == ["fig2 0 []", "table3 0 []"]
 
 
 class TestTable1Command:
@@ -459,7 +493,8 @@ class TestDeterminismAcrossWorkers:
         def no_pool(*args, **kwargs):
             raise AssertionError("fig2 started a process pool")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        # parallel imports the pool class where it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         args = ["fig2", "--reps", "10500", "--n", "300"]  # > 2.5 chunks
         a = _run_json(tmp_path, args + ["--workers", "1"], "w1.json")
         b = _run_json(tmp_path, args + ["--workers", "2"], "w2.json")
