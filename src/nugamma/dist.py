@@ -17,7 +17,9 @@ and kurtosis 3(1 + m).  The density is finite at 0 for m < 2 and diverges
 Only the symmetrized gamma density uses scipy: ``scipy.special``
 (``gammaln``, ``kve``) is imported where it is called, so that commands
 which evaluate no such density or CDF (``bounds``, ``hill``, ``audit``,
-``fig2``, ``table3``) do not pay its 0.3 s import.  The characteristic
+``fig2``, ``table3``) do not pay its 0.3 s import.  The tail beyond a
+CDF table's top is the package's Gauss-Kronrod rule
+(:func:`specfun.integrate`), not QUADPACK.  The characteristic
 functions, the stable CDF and sampling need numpy alone.
 """
 
@@ -200,17 +202,27 @@ class SymmetrizedGamma:
         """Density p_m(x); symmetric, integrates to 1.
 
         Returns ``inf`` at x = 0 when the density is unbounded there
-        (m >= 2); that is the singularity signal.
+        (m >= 2); that is the singularity signal.  For m < 2, where the
+        Bessel form overflows below the series cutoff, it is the CDF's
+        two-term small-z series.
         """
         from scipy.special import kve
 
         a = self.shape
-        z = np.abs(np.asarray(x, dtype=float)) / self.scale
+        ax = np.abs(np.asarray(x, dtype=float))
+        z = ax / self.scale
         # summed in logs: for small m the prefactor alone underflows; the
         # scaled Bessel keeps e^-z explicit, so the far tail underflows to 0
         with np.errstate(all="ignore"):
             out = np.exp(self._log_pdf_prefactor + (a - 0.5) * np.log(z)
                          + np.log(kve(abs(a - 0.5), z)) - z)
+            if self.m < 2.0:
+                # kve overflows at tiny z (|x| <= 1e-7 at m = 0.022), where the
+                # density is finite and the series exact to double precision
+                c1, e1, c2, e2 = self._series_coeff
+                series = (ax <= _SERIES_CUTOFF) & ~np.isfinite(out)
+                if series.any():
+                    out = np.where(series, c1 * z ** e1 + c2 * z ** e2, out)
         out = np.where(z == 0.0, self._pdf_at_zero, out)
         return float(out) if out.ndim == 0 else out
 

@@ -13,9 +13,11 @@ tautology:
   characteristic function by an oscillatory cosine inversion
   (mpmath.quadosc); slow, used to freeze values.
 * ``bessel_k_integral_mp``: K_nu from its cosh integral representation.
+* ``quadpack``: scipy's QUADPACK (QAGS, QAGI), whose epsilon
+  extrapolation the package's Gauss-Kronrod bisection does not have.
 * ``stable_cdf_qawo``: the symmetric stable CDF by inverting the
-  characteristic function with QUADPACK's sin-weighted rule.  The package
-  evaluates the Zolotarev integral instead.
+  characteristic function with QUADPACK's plain and sin-weighted rules.
+  The package evaluates the Zolotarev integral instead.
 * ``stable_sample_cms``: Chambers-Mallows-Stuck draws of the symmetric
   stable law, for Monte Carlo checks where the inversion fails.
 * ``read_return_series_two_pass``: the CSV reader that holds every
@@ -94,6 +96,20 @@ def bessel_k_integral_mp(nu, x, dps=30):
     return mp.quad(lambda t: mp.e ** (-x_ * mp.cosh(t)) * mp.cosh(nu_ * t), [0, 40])
 
 
+def quadpack(f, a, b, spec=QuadratureSpec()):
+    """scipy's ``quad`` over (a, b) as ``(value, err)``.
+
+    A missed tolerance raises IntegrationError by the package's rule.
+    """
+    from scipy.integrate import quad
+
+    out = quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+               limit=spec.max_subdivisions, full_output=True)
+    extra = out[3] if len(out) > 3 else None
+    return specfun._check_quad(float(out[0]), float(out[1]), extra, spec,
+                               f"integral on ({a}, {b})")
+
+
 def stable_cdf_qawo(alpha, lam, x):
     """F(x) = 1/2 + (1/pi) int_0^inf sin(t x) exp(-lam t^alpha) / t dt.
 
@@ -115,7 +131,7 @@ def stable_cdf_qawo(alpha, lam, x):
         return math.sin(t * x) / t * math.exp(-lam * t ** alpha) if t > 0 else x
 
     t1 = min(math.pi / (2.0 * x), T)
-    total, _ = specfun.integrate(integrand, 0.0, t1, spec)
+    total, _ = quadpack(integrand, 0.0, t1, spec)
     if t1 < T:
         osc, _ = specfun.integrate_sin(
             lambda t: math.exp(-lam * t ** alpha) / t, t1, T, x, spec)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from nugamma import dist, specfun
+from nugamma import dist
 from nugamma.dist import GaussExtremalMixture, SymmetricStable, SymmetrizedGamma
 from nugamma.diagnostics import ks_critical_value, ks_distance
 from nugamma.errors import IntegrationError
@@ -81,6 +81,19 @@ class TestSymmetrizedGammaPdf:
         assert d.pdf(1e-12) == pytest.approx(v, rel=1e-3)
         assert d.pdf(1e-12) < v
 
+    @pytest.mark.parametrize("m", [0.022, 0.1, 0.5, 1.0, 1.9])
+    def test_finite_near_zero_below_two(self, m):
+        # the Bessel form overflows at tiny |x| (|x| <= 1e-7 at m = 0.022)
+        a, mp = 1.0 / m, oracles.mp
+        mp.mp.dps = 30
+        xs = np.logspace(-320, -6)
+        for x, got in zip(xs, SymmetrizedGamma(m).pdf(xs)):
+            z = mp.mpf(float(x)) / mp.sqrt(m)
+            expect = float(mp.power(2, 0.5 - a) * mp.power(z, a - 0.5)
+                           * oracles.bessel_k_mp(abs(a - 0.5), z)
+                           / (mp.sqrt(mp.pi) * mp.gamma(a) * mp.sqrt(m)))
+            assert math.isfinite(got) and got == pytest.approx(expect, rel=1e-12, abs=0.0), x
+
     def test_symmetry(self):
         d = SymmetrizedGamma(7.0)
         for x in (0.2, 1.0, 3.7, 12.0):
@@ -109,11 +122,16 @@ class TestSymmetrizedGammaCdf:
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 10.0, 50.0, 100.0])
     def test_normalization(self, m):
-        # two independent quadratures of the density: adaptive over (0, 5)
+        # two independent quadratures of the density: QUADPACK over (0, 5)
         # and the table's survival at 5 must sum to exactly half the mass
         d = SymmetrizedGamma(m)
-        center, _ = specfun.integrate(d.pdf, 0.0, 5.0)
+        center, _ = oracles.quadpack(d.pdf, 0.0, 5.0)
         assert center + d.survival(5.0) == pytest.approx(0.5, abs=1e-8)
+
+    def test_infinite_arguments(self):
+        d = SymmetrizedGamma(1.0)
+        assert d.survival(math.inf) == 0.0 and d.cdf(-math.inf) == 0.0
+        assert d.cdf(math.inf) == 1.0
 
     def test_monotone(self):
         d = SymmetrizedGamma(10.0)

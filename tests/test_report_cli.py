@@ -279,6 +279,30 @@ class TestExitCodes:
         commands = [["bounds"], ["hill", "--sims", "2", "--n", "500"], ["audit", str(csv_path)]]
         assert _scipy_modules_after(commands) == ["bounds 0 []", "hill 0 []", "audit 0 []"]
 
+    def test_import_loads_the_same_modules(self):
+        # beyond numpy, only these standard-library packages: import time is setup time
+        src = os.path.dirname(os.path.dirname(nugamma.__file__))
+        code = ("import sys, numpy; tops = lambda: {m.split('.')[0] for m in sys.modules}; "
+                "before = tops(); import nugamma.cli; print(sorted(tops() - before))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+        assert out.stdout.strip() == str(["__future__", "_csv", "_json", "argparse", "array",
+                                          "copy", "csv", "dataclasses", "gettext", "json",
+                                          "nugamma"])
+
+    def test_density_commands_load_no_quadpack(self):
+        # the SG tables' tails use the package's Gauss-Kronrod rule, so
+        # QUADPACK and what it pulls in stay unloaded
+        commands = [["table1"], ["fig1"], ["randsum", "--reps", "400"],
+                    ["randsum", "--component", "sg", "--reps", "400"]]
+        lines = _scipy_modules_after(commands)
+        assert [line.split()[:2] for line in lines] == [
+            ["table1", "0"], ["fig1", "0"], ["randsum", "0"], ["randsum", "0"]]
+        for line in lines:
+            assert "'scipy.special'" in line
+            for package in ("integrate", "optimize", "sparse", "linalg"):
+                assert f"'scipy.{package}" not in line, line
+
     def test_fit_commands_load_no_scipy(self):
         # both fits use the package Nelder-Mead, and the stable CDF is numpy only
         commands = [["fig2", "--reps", "200", "--n", "300"], ["table3", "--method", "both"]]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nugamma import dist
 from nugamma.dist import SymmetrizedGamma
 from nugamma.errors import IntegrationError
 from nugamma.specfun import QuadratureSpec, integrate
@@ -143,3 +144,44 @@ class TestIntegrate:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+
+    def test_one_panel_raises_where_bisection_converges(self):
+        f = lambda t: math.sin(50.0 * t)
+        v, _ = integrate(f, 0.0, 1.0)
+        assert v == pytest.approx((1.0 - math.cos(50.0)) / 50.0, rel=1e-10)
+        with pytest.raises(IntegrationError, match="did not converge"):
+            integrate(f, 0.0, 1.0, QuadratureSpec(max_subdivisions=1))
+
+    @pytest.mark.parametrize("b", [1.0, math.inf])
+    def test_integrand_gets_one_float_at_a_time(self, b):
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return math.exp(-t)
+
+        integrate(f, 0, b)
+        assert seen and all(type(t) is float for t in seen)
+
+    def test_infinite_lower_limit(self):
+        with pytest.raises(ValueError, match="lower limit"):
+            integrate(lambda t: math.exp(t), -math.inf, 0.0)
+        assert integrate(lambda t: math.exp(-t), math.inf, math.inf) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("m", [50.0, 100.0])
+    def test_strong_endpoint_singularity_raises(self, m):
+        # near 0 the density is |x|^(2/m - 1); QUADPACK's epsilon
+        # extrapolation reaches the tolerance, bisection alone does not
+        pdf = SymmetrizedGamma(m).pdf
+        with pytest.raises(IntegrationError, match="did not converge"):
+            integrate(pdf, 0.0, 5.0)
+
+    @pytest.mark.parametrize("m", [0.022, 0.05, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e3, 1e4])
+    def test_sg_tail_matches_quadpack(self, m):
+        # the tail of every CDF table, at 1 to 10 times the table's top
+        d = SymmetrizedGamma(m)
+        for k in (1.0, 1.5, 3.0, 10.0):
+            x = k * dist._TABLE_TOP_SCALES * d.scale
+            got, _ = integrate(d.pdf, x, math.inf, dist._TAIL_SPEC)
+            expect, _ = oracles.quadpack(d.pdf, x, math.inf, dist._TAIL_SPEC)
+            assert got == pytest.approx(expect, rel=1e-13, abs=0.0), (m, k)
