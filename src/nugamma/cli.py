@@ -318,7 +318,7 @@ def _cmd_randsum(args):
             else randsum.Component.symmetrized_gamma(args.m))
     rows_raw = randsum.theorem1_experiment(args.m, comp, args.p_schedule,
                                            replicates, args.seed, args.workers)
-    crit = diagnostics.ks_critical_value(replicates, 0.01)
+    crit = diagnostics.ks_critical_value(replicates)
     rows = [{"p": p, "ks_distance": ks, "ks_critical_1pct": crit} for p, ks in rows_raw]
     prov = [
         f"{replicates} normalized random sums p^(1/2)*sum of {args.component} "

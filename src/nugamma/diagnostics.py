@@ -22,6 +22,8 @@ from .parallel import child_rng, run_tasks
 HILL_RULES = {"sqrt": 0.5, "pow-2/3": 2.0 / 3.0, "pow-4/5": 0.8}
 # quantiles of |x - mean| that form the tail report's tail-ratio grid
 RATIO_QUANTILES = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98)
+# the Kolmogorov distribution's upper 1% point, scipy.special.kolmogi(0.01)
+KS_CRITICAL_1PCT = 1.6276236115189504
 
 # Hill applied to the positive tail with k rules computed from the full
 # sample size reproduces the reference simulation means for symmetrized
@@ -220,11 +222,9 @@ def ks_distance(sample, cdf) -> float:
     return float(max(up, down))
 
 
-def ks_critical_value(n: int, level: float = 0.01) -> float:
-    """Asymptotic critical value c(level)/sqrt(n) of the KS statistic."""
-    from scipy.special import kolmogi
-
-    return float(kolmogi(level) / math.sqrt(n))
+def ks_critical_value(n: int) -> float:
+    """Asymptotic 1% critical value of the KS statistic of n points."""
+    return KS_CRITICAL_1PCT / math.sqrt(n)
 
 
 # ----------------------------------------------------------------------

@@ -205,8 +205,7 @@ def theorem1_experiment(m: int, component: Component, p_schedule,
     rows = []
     for stage, (p, cfg) in enumerate(zip(p_schedule, configs)):
         sums = random_sum_draws(cfg, stage=stage, workers=workers)
-        cdf = target.cdf_interpolator(np.abs(sums).max())
-        rows.append((float(p), ks_distance(sums, cdf)))
+        rows.append((float(p), ks_distance(sums, target.cdf)))
     return rows
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nugamma import diagnostics
 from nugamma.diagnostics import (
     HILL_RULES,
+    KS_CRITICAL_1PCT,
     ReturnSeries,
     build_tail_report,
     empirical_kurtosis,
@@ -291,7 +292,13 @@ class TestKolmogorovSmirnov:
         assert d == pytest.approx(0.6, rel=1e-12)
 
     def test_critical_value(self):
-        assert ks_critical_value(10 ** 6, 0.01) == pytest.approx(1.6276 / 1000.0, rel=1e-3)
+        assert ks_critical_value(10 ** 6) == pytest.approx(1.6276 / 1000.0, rel=1e-3)
+
+    def test_critical_constant_is_kolmogi(self):
+        from scipy.special import kolmogi
+
+        assert KS_CRITICAL_1PCT == float(kolmogi(0.01))
+        assert ks_critical_value(10 ** 5) == float(kolmogi(0.01) / math.sqrt(10 ** 5))
 
 
 # CSV text for the reader equivalence test: numbers with whitespace, signs
