@@ -6,7 +6,13 @@ estimator experiments, tail-ratio curves, random-sum limit simulations
 and stable characteristic-function fits.
 """
 
-from .bounds import BoundResult, chebyshev_bound, expected_exceedances, gauss_bound
+from .bounds import (
+    BoundResult,
+    GaussExtremalMixture,
+    chebyshev_bound,
+    expected_exceedances,
+    gauss_bound,
+)
 from .cffit import (
     FitWindow,
     SandwichCheck,
@@ -30,7 +36,7 @@ from .diagnostics import (
     read_return_series,
     tail_ratio_curve,
 )
-from .dist import GaussExtremalMixture, SymmetricStable, SymmetrizedGamma
+from .dist import SymmetricStable, SymmetrizedGamma
 from .errors import DataError, FitError, IntegrationError, NuGammaError, OutOfRegimeError
 from .randsum import (
     Component,

@@ -3,8 +3,10 @@
 For a unimodal distribution with mode and mean at mu and variance
 sigma^2, the sharp bound on P{|X - mu| >= d} in the regime
 d^2 >= 4 sigma^2 / 3 is 4 sigma^2 / (9 d^2), attained by an atom at mu
-plus a rectangular component on [mu - 3d/2, mu + 3d/2].  The Chebyshev
-bound sigma^2 / d^2 is kept as the baseline it improves on.
+plus a rectangular component on [mu - 3d/2, mu + 3d/2]
+(:class:`GaussExtremalMixture`, whose constructor is the one check of
+that regime).  The Chebyshev bound sigma^2 / d^2 is kept as the
+baseline it improves on.
 """
 
 from __future__ import annotations
@@ -12,8 +14,58 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dist import GaussExtremalMixture
+import numpy as np
+
 from .errors import OutOfRegimeError
+
+
+def _check_d_sigma(d: float, sigma: float) -> None:
+    if not (0 < d < math.inf and 0 < sigma < math.inf):
+        raise ValueError("d and sigma must be finite and positive")
+
+
+@dataclass(frozen=True)
+class GaussExtremalMixture:
+    """Atom-at-mu plus rectangular mixture attaining the unimodal tail bound.
+
+    A point mass at mu with weight 1 - 4 sigma^2 / (3 d^2) plus a
+    rectangular (uniform) component on [mu - 3d/2, mu + 3d/2] with the
+    complementary weight.  Exists for d^2 >= 4 sigma^2 / 3, and raises
+    :class:`OutOfRegimeError` below; has variance sigma^2 and satisfies
+    P{|X - mu| >= d} = 4 sigma^2 / (9 d^2) exactly.
+    """
+
+    mu: float
+    sigma: float
+    d: float
+
+    def __post_init__(self) -> None:
+        _check_d_sigma(self.d, self.sigma)
+        if self.d * self.d < 4.0 * self.sigma * self.sigma / 3.0:
+            raise OutOfRegimeError(
+                f"gauss bound requires d^2 >= 4 sigma^2 / 3 (d={self.d}, sigma={self.sigma})"
+            )
+
+    @property
+    def rect_weight(self) -> float:
+        return 4.0 * self.sigma ** 2 / (3.0 * self.d ** 2)
+
+    @property
+    def atom_weight(self) -> float:
+        return 1.0 - self.rect_weight
+
+    @property
+    def rect_support(self) -> tuple[float, float]:
+        return (self.mu - 1.5 * self.d, self.mu + 1.5 * self.d)
+
+    def sample(self, rng: np.random.Generator, n: int):
+        """n draws; one uniform decides the branch, one the rectangle position."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        lo, hi = self.rect_support
+        pick = rng.random(n)
+        pos = rng.uniform(lo, hi, n)
+        return np.where(pick < self.rect_weight, pos, self.mu)
 
 
 @dataclass(frozen=True)
@@ -24,11 +76,6 @@ class BoundResult:
     attained_by: GaussExtremalMixture | None = None
 
 
-def _check_d_sigma(d: float, sigma: float) -> None:
-    if not (0 < d < math.inf and 0 < sigma < math.inf):
-        raise ValueError("d and sigma must be finite and positive")
-
-
 def gauss_bound(d: float, sigma: float) -> BoundResult:
     """Sharp unimodal bound 4 sigma^2 / (9 d^2), valid for d^2 >= 4 sigma^2 / 3.
 
@@ -36,18 +83,9 @@ def gauss_bound(d: float, sigma: float) -> BoundResult:
     rather than silently substituting the Chebyshev bound, so tightness
     claims stay attached to the regime they hold in.
     """
-    _check_d_sigma(d, sigma)
-    if d * d < 4.0 * sigma * sigma / 3.0:
-        raise OutOfRegimeError(
-            f"gauss bound requires d^2 >= 4 sigma^2 / 3 (d={d}, sigma={sigma})"
-        )
-    b = 4.0 * sigma * sigma / (9.0 * d * d)
-    return BoundResult(
-        level_d=d,
-        bound=b,
-        kind="gauss-unimodal",
-        attained_by=GaussExtremalMixture(mu=0.0, sigma=sigma, d=d),
-    )
+    mixture = GaussExtremalMixture(mu=0.0, sigma=sigma, d=d)
+    return BoundResult(level_d=d, bound=4.0 * sigma * sigma / (9.0 * d * d),
+                       kind="gauss-unimodal", attained_by=mixture)
 
 
 def chebyshev_bound(d: float, sigma: float) -> BoundResult:

@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=report.DEFAULT_SEED,
                         help="master seed (default 0x5EED)")
-    common.add_argument("--reps", type=_count, default=None,
-                        help="override the command's replicate count")
     common.add_argument("--workers", type=_count, default=1,
                         help="worker processes for Monte Carlo commands")
     common.add_argument("--format", choices=("table", "csv", "json"), default="table")
@@ -76,16 +74,21 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Symmetrized-gamma distribution toolkit and tail diagnostics")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    q = sub.add_parser("table1", parents=[common],
-                       help="two-sided deviation probabilities per family parameter m")
+    def command(name, handler, help):
+        q = sub.add_parser(name, parents=[common], help=help)
+        q.set_defaults(handler=handler)
+        return q
+
+    q = command("table1", _cmd_table1,
+                "two-sided deviation probabilities per family parameter m")
     q.add_argument("--m-list", type=_float_list, default=[float(v) for v in range(10, 101, 10)])
     q.add_argument("--k-sigmas", type=float, default=10.0)
     q.add_argument("--strict-sigma", action="store_true",
                    help="measure the level in true sigma units instead of the "
                         "reference table's sigma^2 units")
 
-    q = sub.add_parser("table3", parents=[common],
-                       help="stable (alpha, lambda) fits to the CF of standardized sums")
+    q = command("table3", _cmd_table3,
+                "stable (alpha, lambda) fits to the CF of standardized sums")
     q.add_argument("--m", type=float, default=20.0)
     q.add_argument("--n-list", type=_int_list, default=[1, *range(10, 101, 10)])
     q.add_argument("--delta", type=float, default=0.005)
@@ -93,35 +96,37 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--grid-size", type=int, default=256)
     q.add_argument("--method", choices=("ls-cf", "loglog", "both"), default="ls-cf")
 
-    q = sub.add_parser("fig1", parents=[common],
-                       help="tail-ratio curve P{X>x}/P{X>1.5x} of the analytic law")
+    q = command("fig1", _cmd_fig1,
+                "tail-ratio curve P{X>x}/P{X>1.5x} of the analytic law")
     q.add_argument("--m", type=float, default=50.0)
     q.add_argument("--x-min", type=float, default=1.0)
     q.add_argument("--x-max", type=float, default=50.0)
     q.add_argument("--points", type=int, default=50)
     q.add_argument("--factor", type=float, default=1.5)
 
-    q = sub.add_parser("fig2", parents=[common],
-                       help="pre-limit experiment: ECDF of normalized sums vs stable fit")
+    q = command("fig2", _cmd_fig2,
+                "pre-limit experiment: ECDF of normalized sums vs stable fit")
     q.add_argument("--m", type=int, default=100)
     q.add_argument("--n", type=int, default=10000)
     q.add_argument("--exponent", type=float, default=1.83)
+    q.add_argument("--reps", dest="replicates", type=_count, default=1000,
+                   help="replicate sums (at least 2)")
 
-    q = sub.add_parser("hill", parents=[common],
-                       help="mean Hill estimate for k = sqrt(n), n^(2/3), n^(4/5)")
+    q = command("hill", _cmd_hill,
+                "mean Hill estimate for k = sqrt(n), n^(2/3), n^(4/5)")
     q.add_argument("--m", type=float, default=10.0)
     q.add_argument("--n", type=int, default=10000)
     q.add_argument("--sims", type=_count, default=100)
     q.add_argument("--tail", choices=diagnostics.HILL_TAILS, default=diagnostics.DEFAULT_HILL_TAIL)
 
-    q = sub.add_parser("bounds", parents=[common],
-                       help="unimodal and Chebyshev deviation bounds with expected counts")
+    q = command("bounds", _cmd_bounds,
+                "unimodal and Chebyshev deviation bounds with expected counts")
     q.add_argument("--d-list", type=_float_list, default=[2.0, 5.0, 10.0, 40.0])
     q.add_argument("--sigma", type=float, default=1.0)
     q.add_argument("--n", type=int, default=50000)
 
-    q = sub.add_parser("audit", parents=[common],
-                       help="full tail diagnostic report over a CSV return series")
+    q = command("audit", _cmd_audit,
+                "full tail diagnostic report over a CSV return series")
     q.add_argument("input_path")
     q.add_argument("--column", default=None, help="column name or index (default: first numeric)")
     q.add_argument("--strict", action="store_true", help="abort on unparseable rows")
@@ -130,11 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--hill-tail", choices=diagnostics.HILL_TAILS,
                    default=diagnostics.DEFAULT_HILL_TAIL)
 
-    q = sub.add_parser("randsum", parents=[common],
-                       help="random-sum convergence: KS distance to the limit law per p")
+    q = command("randsum", _cmd_randsum,
+                "random-sum convergence: KS distance to the limit law per p")
     q.add_argument("--m", type=int, default=2)
     q.add_argument("--component", choices=("uniform", "sg"), default="uniform")
     q.add_argument("--p-schedule", type=_float_list, default=[0.1, 0.01, 0.001])
+    q.add_argument("--reps", dest="replicates", type=_count, default=100000,
+                   help="replicate sums per p")
 
     return p
 
@@ -225,8 +232,7 @@ def _cmd_fig1(args):
 
 
 def _cmd_fig2(args):
-    replicates = args.reps or 1000
-    res = randsum.prelimit_experiment(args.m, args.n, replicates, args.exponent, args.seed)
+    res = randsum.prelimit_experiment(args.m, args.n, args.replicates, args.exponent, args.seed)
     start = (1.9, float(res.sums.var()) / 2.0)
     fit = randsum.fit_stable_to_ecdf(res.grid, res.ecdf, start)
     payload = {
@@ -236,7 +242,7 @@ def _cmd_fig2(args):
                  for x, e, s in zip(res.grid, res.ecdf, fit.cdf)],
     }
     prov = [
-        f"{replicates} replicate sums of n={args.n} variates (m={args.m}), "
+        f"{args.replicates} replicate sums of n={args.n} variates (m={args.m}), "
         f"each scaled by n^(-1/{args.exponent:g})",
         "stable overlay fitted to the ECDF by least squares on the evaluation grid; "
         "the reported ks is the sup distance between the two curves",
@@ -313,15 +319,14 @@ def _cmd_audit(args):
 
 
 def _cmd_randsum(args):
-    replicates = args.reps or 100000
     comp = (randsum.Component.uniform_var2() if args.component == "uniform"
             else randsum.Component.symmetrized_gamma(args.m))
     rows_raw = randsum.theorem1_experiment(args.m, comp, args.p_schedule,
-                                           replicates, args.seed, args.workers)
-    crit = diagnostics.ks_critical_value(replicates)
+                                           args.replicates, args.seed, args.workers)
+    crit = diagnostics.ks_critical_value(args.replicates)
     rows = [{"p": p, "ks_distance": ks, "ks_critical_1pct": crit} for p, ks in rows_raw]
     prov = [
-        f"{replicates} normalized random sums p^(1/2)*sum of {args.component} "
+        f"{args.replicates} normalized random sums p^(1/2)*sum of {args.component} "
         f"variance-2 summands per p, counting family m={args.m}",
         "KS distance to the analytic symmetrized gamma CDF with the same m; "
         "with symmetrized gamma summands the law is an exact fixed point and the "
@@ -330,26 +335,10 @@ def _cmd_randsum(args):
     return rows, prov, ("random-sum convergence", "KS distance", rows, "p", ["ks_distance"])
 
 
-_HANDLERS = {
-    "table1": _cmd_table1,
-    "table3": _cmd_table3,
-    "fig1": _cmd_fig1,
-    "fig2": _cmd_fig2,
-    "hill": _cmd_hill,
-    "bounds": _cmd_bounds,
-    "audit": _cmd_audit,
-    "randsum": _cmd_randsum,
-}
-
-
 def _config_echo(args) -> dict:
-    skip = {"command", "out", "svg", "format", "seed", "workers", "reps"}
-    cfg = {"seed": args.seed, "replicates": args.reps, "workers": args.workers,
-           "format": args.format}
-    for key, val in sorted(vars(args).items()):
-        if key not in skip:
-            cfg[key] = val
-    return cfg
+    """The parsed options, sorted, less the subcommand and its output paths."""
+    return {key: val for key, val in sorted(vars(args).items())
+            if key not in {"command", "handler", "out", "svg"}}
 
 
 def run(argv=None) -> int:
@@ -361,7 +350,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        payload, provenance, chart = _HANDLERS[args.command](args)
+        payload, provenance, chart = args.handler(args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

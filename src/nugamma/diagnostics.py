@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .bounds import expected_exceedances, gauss_bound
 from .dist import SymmetrizedGamma
-from .errors import DataError
+from .errors import DataError, OutOfRegimeError
 from .parallel import child_rng, run_tasks
 
 # Hill k rules, in report order: rule name -> exponent e of k = floor(n^e)
@@ -331,7 +332,7 @@ class ExceedanceRow:
     k_sigmas: float
     observed: int
     expected_normal: float
-    gauss_bound_expected: float | None  # None when k^2 < 4/3 (bound out of regime)
+    gauss_bound_expected: float | None  # None outside the bound's regime
 
 
 def exceedance_counts(sample, k_sigmas_list) -> list[ExceedanceRow]:
@@ -339,7 +340,8 @@ def exceedance_counts(sample, k_sigmas_list) -> list[ExceedanceRow]:
 
     sigma is estimated from the sample itself (population convention);
     the normal expectation uses the two-sided tail 2 Phi-bar(k) and the
-    unimodal-bound expectation uses 4 / (9 k^2) where valid.
+    unimodal-bound expectation is n times :func:`bounds.gauss_bound` at
+    d = k, sigma = 1, or None outside that bound's regime.
     """
     x = np.asarray(sample, dtype=float)
     mu = float(x.mean())
@@ -352,7 +354,10 @@ def exceedance_counts(sample, k_sigmas_list) -> list[ExceedanceRow]:
     for k in map(_check_level, k_sigmas_list):
         observed = int(np.count_nonzero(dev > k * sigma))
         expected_normal = n * math.erfc(k / math.sqrt(2.0))
-        gauss = n * 4.0 / (9.0 * k * k) if k * k >= 4.0 / 3.0 else None
+        try:
+            gauss = expected_exceedances(n, gauss_bound(k, 1.0))
+        except OutOfRegimeError:
+            gauss = None
         rows.append(ExceedanceRow(k, observed, expected_normal, gauss))
     return rows
 

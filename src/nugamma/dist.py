@@ -1,4 +1,7 @@
-"""Probability models: symmetrized gamma, symmetric stable, extremal mixture.
+"""Probability models: the symmetrized gamma and symmetric stable laws.
+
+The atom-plus-rectangle law that attains the sharp unimodal bound lives
+beside that bound, in :mod:`nugamma.bounds`.
 
 The central object is the symmetrized gamma law, the difference of two
 i.i.d. gamma variates with shape 1/m and scale sqrt(m).  In standardized
@@ -354,6 +357,7 @@ class SymmetricStable:
             tail = np.empty_like(log_z)
             for lo in range(0, log_z.size, _STABLE_BLOCK):
                 tail[lo:lo + _STABLE_BLOCK] = self._zolotarev_tail(log_z[lo:lo + _STABLE_BLOCK])
+            tail[ax == math.inf] = 0.0  # the clipped integrand leaves up to 1e-289 there
         tail = tail.reshape(xs.shape)
         return np.where(xs == 0.0, 0.5, np.where(xs < 0.0, tail, 1.0 - tail))
 
@@ -399,48 +403,3 @@ class SymmetricStable:
             tail += step_mass
         return tail
 
-
-@dataclass(frozen=True)
-class GaussExtremalMixture:
-    """Atom-at-mu plus rectangular mixture attaining the unimodal tail bound.
-
-    A point mass at mu with weight 1 - 4 sigma^2 / (3 d^2) plus a
-    rectangular (uniform) component on [mu - 3d/2, mu + 3d/2] with the
-    complementary weight.  Valid for d^2 >= 4 sigma^2 / 3; has variance
-    sigma^2 and satisfies P{|X - mu| >= d} = 4 sigma^2 / (9 d^2) exactly.
-    """
-
-    mu: float
-    sigma: float
-    d: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if not self.d > 0:
-            raise ValueError("d must be positive")
-        if self.d * self.d < 4.0 * self.sigma * self.sigma / 3.0 - 1e-15:
-            raise ValueError(
-                f"extremal mixture needs d^2 >= 4 sigma^2 / 3, got d={self.d}, sigma={self.sigma}"
-            )
-
-    @property
-    def rect_weight(self) -> float:
-        return 4.0 * self.sigma ** 2 / (3.0 * self.d ** 2)
-
-    @property
-    def atom_weight(self) -> float:
-        return 1.0 - self.rect_weight
-
-    @property
-    def rect_support(self) -> tuple[float, float]:
-        return (self.mu - 1.5 * self.d, self.mu + 1.5 * self.d)
-
-    def sample(self, rng: np.random.Generator, n: int):
-        """n draws; one uniform decides the branch, one the rectangle position."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        lo, hi = self.rect_support
-        pick = rng.random(n)
-        pos = rng.uniform(lo, hi, n)
-        return np.where(pick < self.rect_weight, pos, self.mu)

@@ -242,8 +242,8 @@ def prelimit_experiment(m: int, n: int, replicates: int, exponent_alpha: float,
     work for a process pool, so the draws always run in-process, as for
     sg summands in :func:`random_sum_draws`.
     """
-    if n < 1 or replicates < 1:
-        raise ValueError("n and replicates must be >= 1")
+    if n < 1 or replicates < 2:  # one draw spans no central interval for the grid
+        raise ValueError(f"need n >= 1 and replicates >= 2, got n={n}, replicates={replicates}")
     if not 0.0 < exponent_alpha <= 2.0:
         raise ValueError(f"exponent_alpha must be in (0, 2], got {exponent_alpha}")
     scale = float(n) ** (1.0 / exponent_alpha)

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nugamma.bounds import chebyshev_bound, expected_exceedances, gauss_bound
+from nugamma.bounds import (
+    GaussExtremalMixture,
+    chebyshev_bound,
+    expected_exceedances,
+    gauss_bound,
+)
 from nugamma.errors import OutOfRegimeError
 from nugamma.parallel import child_rng
 
@@ -47,6 +52,40 @@ class TestGaussBound:
                 gauss_bound(d, sigma)
             with pytest.raises(ValueError, match="finite and positive"):
                 chebyshev_bound(d, sigma)
+
+
+def _out_of_regime(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except OutOfRegimeError:
+        return True
+    return False
+
+
+class TestOneRegimeRule:
+    """d^2 >= 4 sigma^2 / 3 is decided by the mixture's constructor alone."""
+
+    def test_tiny_scales_out_of_regime(self):
+        # an absolute 1e-15 slack once accepted this point, with rectangle
+        # weight 133.3 and atom weight -132.3
+        with pytest.raises(OutOfRegimeError, match=r"^gauss bound requires d\^2 >= 4 sigma\^2 / 3"):
+            GaussExtremalMixture(0.0, 1e-9, 1e-10)
+        with pytest.raises(OutOfRegimeError):
+            gauss_bound(1e-10, 1e-9)
+
+    @given(st.floats(1e-12, 1e6), st.floats(1e-12, 1e6))
+    @settings(max_examples=300, deadline=None)
+    def test_bound_raises_exactly_when_mixture_does(self, d, sigma):
+        edge = 2.0 * sigma / math.sqrt(3.0)
+        for level in (d, math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+            assert (_out_of_regime(gauss_bound, level, sigma)
+                    == _out_of_regime(GaussExtremalMixture, 0.0, sigma, level))
+
+    def test_bad_arguments_are_not_a_regime_question(self):
+        for d, sigma in [(0.0, 1.0), (2.0, -1.0), (math.nan, 1.0), (2.0, math.inf)]:
+            with pytest.raises(ValueError, match="finite and positive") as info:
+                GaussExtremalMixture(0.0, sigma, d)
+            assert not isinstance(info.value, OutOfRegimeError)
 
 
 class TestChebyshevBound:

@@ -23,7 +23,8 @@ from nugamma.diagnostics import (
     tail_ratio_curve,
 )
 from nugamma.dist import SymmetrizedGamma
-from nugamma.errors import DataError
+from nugamma.bounds import expected_exceedances, gauss_bound
+from nugamma.errors import DataError, OutOfRegimeError
 from nugamma.parallel import child_rng
 
 import oracles
@@ -198,6 +199,19 @@ class TestExceedanceCounts:
         x = child_rng(SEED, 24).normal(size=100)
         row = exceedance_counts(x, [1.0])[0]
         assert row.gauss_bound_expected is None
+
+    def test_no_gauss_bound_exactly_where_the_bound_raises(self):
+        # the regime lives in bounds alone; 2/sqrt(3) is its edge at sigma = 1
+        edge = 2.0 / math.sqrt(3.0)
+        levels = [0.5, 1.0, math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0),
+                  1.2, 3.0, 5.0, 10.0, 1e150]
+        x = child_rng(SEED, 24).normal(size=1000)
+        for level, row in zip(levels, exceedance_counts(x, levels)):
+            try:
+                want = expected_exceedances(1000, gauss_bound(level, 1.0))
+            except OutOfRegimeError:
+                want = None
+            assert row.gauss_bound_expected == want, level
 
     def test_observed_monotone_nonincreasing(self):
         x = SymmetrizedGamma(10.0).sample(child_rng(SEED, 25), 50000)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from nugamma import dist
-from nugamma.dist import GaussExtremalMixture, SymmetricStable, SymmetrizedGamma
+from nugamma import GaussExtremalMixture, dist
+from nugamma.dist import SymmetricStable, SymmetrizedGamma
 from nugamma.diagnostics import ks_critical_value, ks_distance
 from nugamma.errors import IntegrationError
 from nugamma.parallel import child_rng
@@ -315,6 +315,14 @@ class TestSymmetricStable:
 
     def test_cdf_at_zero(self):
         assert SymmetricStable(1.4, 0.9).cdf(0.0) == 0.5
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 1.3, 1.5, 1.9])
+    def test_exact_at_infinity(self, alpha):
+        # the clipped Zolotarev integrand once left 6.8e-290 (alpha 1.5) and
+        # 4.9e-305 (alpha 0.5) in the tail at x = +-inf
+        got = SymmetricStable(alpha, 0.8).cdf_grid([-math.inf, math.inf, -1.0, 1.0])
+        assert got[0] == 0.0 and got[1] == 1.0
+        assert 0.0 < got[2] < 0.5 < got[3] < 1.0
 
     def test_cauchy_closed_form(self):
         got = SymmetricStable(1.0, 1.0).cdf(1.0)

@@ -266,6 +266,16 @@ class TestPrelimit:
         with pytest.raises(ValueError, match="exponent_alpha"):
             prelimit_experiment(5, 50, 10, alpha, SEED)
 
+    @pytest.mark.parametrize("n, replicates", [(50, 1), (50, 0), (0, 10)])
+    def test_needs_two_replicates_and_one_summand(self, n, replicates):
+        # one replicate ran to a 512-row grid at a single x
+        with pytest.raises(ValueError, match="need n >= 1 and replicates >= 2"):
+            prelimit_experiment(5, n, replicates, 1.83, SEED)
+
+    def test_two_replicates_suffice(self):
+        res = prelimit_experiment(5, 50, 2, 1.83, SEED)
+        assert len(res.sums) == 2 and res.grid[0] < res.grid[-1]
+
 
 class TestEcdfStableFit:
     def test_recovers_exact_stable_cdf(self):

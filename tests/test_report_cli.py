@@ -1,4 +1,7 @@
+import argparse
+import ast
 import concurrent.futures
+import inspect
 import json
 import os
 import subprocess
@@ -155,7 +158,8 @@ class TestExitCodes:
                     "--n-list", "1"]) == 3
 
     def test_usage_counts_below_one(self, capsys):
-        assert run(["hill", "--reps", "0"]) == 1
+        assert run(["fig2", "--reps", "0"]) == 1
+        assert run(["randsum", "--reps", "0"]) == 1
         assert run(["hill", "--sims", "0"]) == 1
         assert run(["bounds", "--workers", "0"]) == 1
         assert run(["bounds", "--format", "yaml"]) == 1
@@ -189,6 +193,21 @@ class TestExitCodes:
     def test_numeric_density_overflow(self, args, capsys):
         # the Bessel factor of m = 0.001 overflows double precision
         assert run(args) == 3
+
+    @pytest.mark.parametrize("command", [["table1"], ["table3"], ["fig1"], ["bounds"],
+                                         ["audit", "returns.csv"], ["hill"]], ids=" ".join)
+    def test_reps_only_where_it_is_read(self, command, capsys):
+        # these accepted --reps and ignored it
+        assert run([*command, "--reps", "500"]) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: unrecognized arguments: --reps 500\n"
+
+    def test_fig2_single_replicate_is_usage_error(self):
+        # one draw spans no central interval: this ran to 512 rows at one x
+        out = _cli_subprocess(["fig2", "--reps", "1", "--n", "20"])
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith("usage error: need n >= 1 and replicates >= 2")
+        assert out.stderr.count("\n") == 1
 
     def test_fig2_exponent_zero_is_usage_error(self):
         # formerly a ZeroDivisionError traceback
@@ -497,6 +516,39 @@ class TestRandsumCommand:
         body = _run_json(tmp_path, ["randsum", "--reps", "500",
                                     "--p-schedule", "0.2", "--component", "sg"])
         assert body["payload"][0]["ks_distance"] < 0.1
+
+
+class TestOptions:
+    # options that shape the run rather than the result: no handler need read them
+    RUN_LEVEL = {"help", "seed", "workers", "format", "out", "svg"}
+
+    @staticmethod
+    def _subcommands():
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    def test_every_option_is_read_by_its_handler(self):
+        # an option that its handler never reads is a flag that does nothing
+        for name, q in self._subcommands().items():
+            tree = ast.parse(inspect.getsource(q.get_default("handler")))
+            read = {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"}
+            unread = {a.dest for a in q._actions} - self.RUN_LEVEL - read
+            assert not unread, f"{name} never reads {sorted(unread)}"
+
+    def test_config_echoes_the_parsed_options(self, tmp_path):
+        parser = cli.build_parser()
+        defaults = {"fig2": 1000, "randsum": 100000}
+        for name in self._subcommands():
+            argv = [name, "returns.csv"] if name == "audit" else [name]
+            cfg = cli._config_echo(parser.parse_args(argv))
+            assert list(cfg) == sorted(cfg) and {"command", "handler", "out"}.isdisjoint(cfg)
+            assert cfg.get("replicates") == defaults.get(name), name
+        fig2 = _run_json(tmp_path, ["fig2", "--reps", "30", "--n", "200"], "fig2.json")
+        sums = _run_json(tmp_path, ["randsum", "--reps", "300", "--p-schedule", "0.5"])
+        assert fig2["config"]["replicates"] == 30 and sums["config"]["replicates"] == 300
 
 
 class TestDeterminismAcrossWorkers:
