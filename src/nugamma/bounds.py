@@ -41,14 +41,15 @@ class GaussExtremalMixture:
 
     def __post_init__(self) -> None:
         _check_d_sigma(self.d, self.sigma)
-        if self.d * self.d < 4.0 * self.sigma * self.sigma / 3.0:
+        if self.rect_weight > 1.0:  # d^2 < 4 sigma^2 / 3, as the weight rounds it
             raise OutOfRegimeError(
                 f"gauss bound requires d^2 >= 4 sigma^2 / 3 (d={self.d}, sigma={self.sigma})"
             )
 
     @property
     def rect_weight(self) -> float:
-        return 4.0 * self.sigma ** 2 / (3.0 * self.d ** 2)
+        r = self.sigma / self.d  # neither squared alone, which under- or overflows
+        return 4.0 * r * r / 3.0
 
     @property
     def atom_weight(self) -> float:

@@ -13,8 +13,8 @@ tautology:
   characteristic function by an oscillatory cosine inversion
   (mpmath.quadosc); slow, used to freeze values.
 * ``bessel_k_integral_mp``: K_nu from its cosh integral representation.
-* ``quadpack``: scipy's QUADPACK (QAGS, QAGI), whose epsilon
-  extrapolation the package's Gauss-Kronrod bisection does not have.
+* ``quadpack``: scipy's adaptive QUADPACK (QAGS, QAGI); the package's
+  tail beyond a CDF table's top is a fixed Gauss-Laguerre sum.
 * ``stable_cdf_qawo``: the symmetric stable CDF by inverting the
   characteristic function with QUADPACK's plain and sin-weighted rules.
   The package evaluates the Zolotarev integral instead.

@@ -166,7 +166,7 @@ class TestSymmetrizedGammaCdf:
     @pytest.mark.parametrize("m,x", [(10.0, 200.0), (1.0, 75.0), (10.0, 316.0), (50.0, 707.0),
                                      (100.0, 1000.0)])
     def test_tail_beyond_table_top_relative(self, m, x):
-        # x lies beyond the 50 sqrt(m) table top: the adaptive tail alone
+        # x lies beyond the 50 sqrt(m) table top: the Gauss-Laguerre tail alone
         # must keep relative accuracy there, however small the survival
         d = SymmetrizedGamma(m)
         assert x > d._cdf_table._top
@@ -180,6 +180,29 @@ class TestSymmetrizedGammaCdf:
         # were 1.5e-5 to 2.5e-5 off, at every precision alike
         got = oracles.sg_tail_mp(x, m, dps=dps)
         assert abs(float(got) / oracles.SG_DEEP_TAIL[m, x] - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("m", [0.022, 0.3, 2.0, 50.0, 1e4])
+    def test_tail_meets_table_at_top(self, m):
+        # the table's value at its top and the tail rule just beyond it
+        d = SymmetrizedGamma(m)
+        top = d._cdf_table._top
+        assert d.survival(math.nextafter(top, math.inf)) == pytest.approx(
+            d.survival(top), rel=1e-12, abs=0.0)
+
+    @given(st.floats(math.log(0.022), math.log(1e4)), st.floats(1.0, 40.0),
+           st.floats(1.0, 40.0))
+    @settings(max_examples=60, deadline=None)
+    def test_tail_beyond_top_properties(self, log_m, k1, k2):
+        # the density is computed to ~1e-14 relative, so the tail is monotone
+        # at that resolution: points closer than 1e-12 relative are not compared
+        d = SymmetrizedGamma(math.exp(log_m))
+        top = d._cdf_table._top
+        xs = np.array([min(k1, k2), max(k1, k2)]) * top
+        got = d.survival(xs)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        if xs[1] - xs[0] > 1e-12 * xs[1]:
+            assert got[1] <= got[0]
+        assert np.array_equal(got, [d.survival(float(x)) for x in xs])
 
     def test_interpolator_is_cdf(self):
         # the law keeps one table: the interpolator is cdf, whatever x_max
@@ -451,6 +474,9 @@ class TestSymmetricStable:
             SymmetricStable(2.1, 1.0)
         with pytest.raises(ValueError):
             SymmetricStable(1.0, 0.0)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="lambda must be finite and positive"):
+                SymmetricStable(1.5, lam)
 
 
 class TestGaussExtremalMixture:

@@ -205,9 +205,9 @@ class TestTheorem1:
         calls = []
         integrate = dist.specfun.integrate
 
-        def counted(f, a, b, spec):
+        def counted(f, a, rate):
             calls.append(a)
-            return integrate(f, a, b, spec)
+            return integrate(f, a, rate)
 
         monkeypatch.setattr(dist.specfun, "integrate", counted)
         theorem1_experiment(2, Component.uniform_var2(), [0.1, 0.01, 0.001], 2000, SEED)

@@ -310,7 +310,7 @@ class TestExitCodes:
                                           "nugamma"])
 
     def test_density_commands_load_no_quadpack(self):
-        # the SG tables' tails use the package's Gauss-Kronrod rule, so
+        # the SG tables' tails use the package's Gauss-Laguerre rule, so
         # QUADPACK and what it pulls in stay unloaded
         commands = [["table1"], ["fig1"], ["randsum", "--reps", "400"],
                     ["randsum", "--component", "sg", "--reps", "400"]]

@@ -5,8 +5,7 @@ import pytest
 
 from nugamma import dist
 from nugamma.dist import SymmetrizedGamma
-from nugamma.errors import IntegrationError
-from nugamma.specfun import QuadratureSpec, integrate
+from nugamma.specfun import QuadratureSpec, integrate, integrate_sin
 
 import oracles
 
@@ -112,32 +111,61 @@ class TestBesselK:
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("k", [0, 1, 5, 20, 40, 63])
+    @pytest.mark.parametrize("a,rate", [(0.0, 1.0), (3.5, 0.2), (-2.0, 7.0)])
+    def test_exact_for_polynomial_times_exponential(self, k, a, rate):
+        # 32 Gauss-Laguerre nodes integrate t^k e^-t exactly for k <= 63
+        got = integrate(lambda x: (x - a) ** k * np.exp(-rate * (x - a)), a, rate)
+        assert got == pytest.approx(math.factorial(k) / rate ** (k + 1), rel=1e-13)
+
     def test_exponential(self):
-        v, err = integrate(lambda t: math.exp(-t), 0.0, math.inf)
-        assert v == pytest.approx(1.0, abs=1e-10)
-        assert err < 1e-8
-
-    def test_gaussian(self):
-        v, _ = integrate(lambda t: math.exp(-t * t), 0.0, math.inf)
-        assert v == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-10)
-
-    def test_endpoint_singularity(self):
-        v, _ = integrate(lambda t: t ** -0.4, 0.0, 1.0)
-        assert v == pytest.approx(1.0 / 0.6, rel=1e-9)
+        assert integrate(lambda t: np.exp(-t), 0.0, 1.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_linearity(self):
-        f = lambda t: math.exp(-t)
-        g = lambda t: math.exp(-t * t)
+        f = lambda t: np.exp(-t)
+        g = lambda t: t * t * np.exp(-2.0 * t)
         a, b = 2.5, -1.25
-        lhs, _ = integrate(lambda t: a * f(t) + b * g(t), 0.0, math.inf)
-        vf, _ = integrate(f, 0.0, math.inf)
-        vg, _ = integrate(g, 0.0, math.inf)
-        assert lhs == pytest.approx(a * vf + b * vg, abs=1e-9)
+        lhs = integrate(lambda t: a * f(t) + b * g(t), 0.0, 1.0)
+        assert lhs == pytest.approx(a * integrate(f, 0.0, 1.0) + b * integrate(g, 0.0, 1.0),
+                                    rel=1e-14)
 
-    def test_non_convergence_error(self):
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=1)
-        with pytest.raises(IntegrationError):
-            integrate(lambda t: math.sin(1e4 * t), 0.0, 1.0, spec)
+    def test_integrand_gets_all_nodes_in_one_call(self):
+        # a and rate broadcast; f sees their shape plus one axis of 32 nodes
+        seen = []
+        decay = lambda t: np.exp(-t)
+
+        def f(t):
+            seen.append(t.shape)
+            return decay(t)
+
+        a = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        rate = np.array([1.0, 0.5, 2.0])
+        got = integrate(f, a, rate)
+        assert seen == [(2, 3, 32)]
+        # each point's sum has the bits of its own one-point call
+        want = [[integrate(decay, a_ij, r) for a_ij, r in zip(row, rate)] for row in a]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("b", [1.0, math.inf])
+    def test_integrand_gets_one_float_at_a_time(self, b):
+        # integrate_sin, the QUADPACK rule left for CF inversion, keeps the
+        # scalar convention: its integrands (the oracles') use math, not numpy
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return math.exp(-t)
+
+        got, _ = integrate_sin(f, 0.0, b, 3.0)
+        # int_0^b e^-t sin(3t) dt = (3 - e^-b (sin 3b + 3 cos 3b)) / 10
+        tail = 0.0 if b == math.inf else math.exp(-b) * (math.sin(3 * b) + 3 * math.cos(3 * b))
+        assert got == pytest.approx((3.0 - tail) / 10.0, rel=1e-9)
+        assert seen and all(type(t) is float for t in seen)
+
+    def test_infinite_lower_limit(self):
+        assert integrate(lambda t: np.exp(-t), math.inf, 1.0) == 0.0
+        got = integrate(SymmetrizedGamma(2.0).pdf, np.array([1.0, math.inf]), 0.5)
+        assert got[1] == 0.0 and got[0] > 0.0
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -145,43 +173,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
 
-    def test_one_panel_raises_where_bisection_converges(self):
-        f = lambda t: math.sin(50.0 * t)
-        v, _ = integrate(f, 0.0, 1.0)
-        assert v == pytest.approx((1.0 - math.cos(50.0)) / 50.0, rel=1e-10)
-        with pytest.raises(IntegrationError, match="did not converge"):
-            integrate(f, 0.0, 1.0, QuadratureSpec(max_subdivisions=1))
-
-    @pytest.mark.parametrize("b", [1.0, math.inf])
-    def test_integrand_gets_one_float_at_a_time(self, b):
-        seen = []
-
-        def f(t):
-            seen.append(t)
-            return math.exp(-t)
-
-        integrate(f, 0, b)
-        assert seen and all(type(t) is float for t in seen)
-
-    def test_infinite_lower_limit(self):
-        with pytest.raises(ValueError, match="lower limit"):
-            integrate(lambda t: math.exp(t), -math.inf, 0.0)
-        assert integrate(lambda t: math.exp(-t), math.inf, math.inf) == (0.0, 0.0)
-
-    @pytest.mark.parametrize("m", [50.0, 100.0])
-    def test_strong_endpoint_singularity_raises(self, m):
-        # near 0 the density is |x|^(2/m - 1); QUADPACK's epsilon
-        # extrapolation reaches the tolerance, bisection alone does not
-        pdf = SymmetrizedGamma(m).pdf
-        with pytest.raises(IntegrationError, match="did not converge"):
-            integrate(pdf, 0.0, 5.0)
-
     @pytest.mark.parametrize("m", [0.022, 0.05, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e3, 1e4])
     def test_sg_tail_matches_quadpack(self, m):
-        # the tail of every CDF table, at 1 to 10 times the table's top
+        # survival at 1 to 10 times a table's top, against QUADPACK held to a
+        # relative-only tolerance, so that tiny tails are checked too
+        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-10, max_subdivisions=400)
         d = SymmetrizedGamma(m)
         for k in (1.0, 1.5, 3.0, 10.0):
             x = k * dist._TABLE_TOP_SCALES * d.scale
-            got, _ = integrate(d.pdf, x, math.inf, dist._TAIL_SPEC)
-            expect, _ = oracles.quadpack(d.pdf, x, math.inf, dist._TAIL_SPEC)
-            assert got == pytest.approx(expect, rel=1e-13, abs=0.0), (m, k)
+            expect, _ = oracles.quadpack(d.pdf, x, math.inf, spec)
+            assert d.survival(x) == pytest.approx(expect, rel=1e-13, abs=0.0), (m, k)
