@@ -85,14 +85,16 @@ def gauss_bound(d: float, sigma: float) -> BoundResult:
     claims stay attached to the regime they hold in.
     """
     mixture = GaussExtremalMixture(mu=0.0, sigma=sigma, d=d)
-    return BoundResult(level_d=d, bound=4.0 * sigma * sigma / (9.0 * d * d),
+    r = sigma / d  # as in rect_weight: d^2 and sigma^2 can both underflow to 0
+    return BoundResult(level_d=d, bound=(4.0 / 9.0) * r * r,
                        kind="gauss-unimodal", attained_by=mixture)
 
 
 def chebyshev_bound(d: float, sigma: float) -> BoundResult:
     """Chebyshev bound min(1, sigma^2 / d^2); valid for every d > 0."""
     _check_d_sigma(d, sigma)
-    return BoundResult(level_d=d, bound=min(1.0, sigma * sigma / (d * d)), kind="chebyshev")
+    q = d / sigma  # 1 / q^2 keeps the bits of sigma^2 / d^2 at sigma = 1, which r * r does not
+    return BoundResult(level_d=d, bound=1.0 if q <= 1.0 else 1.0 / (q * q), kind="chebyshev")
 
 
 def expected_exceedances(n: int, bound: BoundResult) -> float:

@@ -168,9 +168,8 @@ def _rows(keys, error, blank, row):
 
 def _cmd_table1(args):
     unit = "sigma" if args.strict_sigma else "sigma_squared"
-    rows = _rows(args.m_list, IntegrationError, lambda m: {"m": m, "probability": None},
-                 lambda m: {"m": m, "probability": SymmetrizedGamma(m).two_sided_exceed(
-                     args.k_sigmas, unit=unit)})
+    rows = [{"m": m, "probability": SymmetrizedGamma(m).two_sided_exceed(args.k_sigmas, unit=unit)}
+            for m in args.m_list]
     prov = [
         f"deviation level {args.k_sigmas:g} measured in units of "
         + ("sigma (threshold k*sqrt(2))" if unit == "sigma" else

@@ -17,14 +17,12 @@ density
 and kurtosis 3(1 + m).  The density is finite at 0 for m < 2 and diverges
 (logarithmically at m = 2, like |x|^(2/m - 1) for m > 2) otherwise.
 
-Only the symmetrized gamma density uses scipy, and from it only
-``scipy.special.kve``, imported where it is called, so that commands
-which evaluate no such density or CDF (``bounds``, ``hill``, ``audit``,
-``fig2``, ``table3``) do not pay its 0.3 s import.  Beyond a CDF
-table's top the density is in its exponential regime, and the tail is a
-32-point Gauss-Laguerre sum over it (:func:`specfun.integrate`): one
-density call covers all of a lookup's points there.  The characteristic
-functions, the stable CDF and sampling need numpy alone.
+Everything here needs numpy alone.  The density's Bessel factor is a
+trapezoid rule summed in logs (:func:`_log_zk`), so it neither overflows
+nor underflows on (0, inf) for any m.  Beyond a CDF table's top, at 50
+gamma scales, the tail is a 32-point Gauss-Laguerre sum over the density
+(:func:`specfun.integrate`): one density call covers all of a lookup's
+points there.
 """
 
 from __future__ import annotations
@@ -37,11 +35,11 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from . import specfun
-from .errors import IntegrationError
 
 _EULER_GAMMA = 0.5772156649015329
 _SQRT2 = math.sqrt(2.0)
 _HALF_PI = 0.5 * math.pi
+_LN2 = math.log(2.0)
 
 # |x| below which the CDF uses the two-term small-argument series; the
 # truncation error there is O(x^2) relative, far under the 1e-9 absolute
@@ -74,6 +72,93 @@ _STABLE_STEPS = np.concatenate((-np.sqrt(2.0) ** np.arange(23, -1, -1), [0.0],
                                 np.sqrt(2.0) ** np.arange(24))) / 2.0
 _STABLE_BLOCK = 256  # points per block: at most 256 x 1280 nodes
 
+# Bessel factor of the density: a trapezoid rule per point, on a window
+# where the log-integrand lies within _BESSEL_DROP of its peak.  The density
+# goes in blocks of _BESSEL_POINTS points, their nodes in arrays of at most
+# _BESSEL_NODES values.
+_BESSEL_DROP = 40.0
+_BESSEL_POINTS = 4096
+_BESSEL_NODES = 1 << 14
+
+
+def _log_zk(nu: float, z: np.ndarray) -> np.ndarray:
+    """ln(z^nu K_nu(z)) for nu >= 0 and a 1-d array of finite z > 0.
+
+    K_nu(z) is the integral over t > 0 of I(t) = e^(-z cosh t) cosh(nu t),
+    which peaks near t* = asinh(nu / z), where z cosh t* = A = hypot(z, nu).
+    Each point sums I over nodes of step 0.72 / sqrt(A + 7.7) that cover
+    [t* - left, t* + right], outside which ln I lies more than _BESSEL_DROP
+    below its peak; where that reaches t = 0, the window starts there and
+    the node at 0 takes half weight (I is even: this is the trapezoid rule
+    on the whole line).  I is entire and falls double-exponentially, so
+    the rule's error falls geometrically with the step, and this step keeps
+    it under 1e-15 from the small-z limit, where the cut-off near z e^t = 2
+    asks for a step of 0.30 at nu = 0.1 and 0.17 at nu = 9.5, to the
+    Gaussian peak of large A, which asks for 0.745 / sqrt(A).
+
+    ln I is taken about a centre t0 with z e^t0 = P0 = max(nu + A, 1) (t0
+    is t* unless nu + A < 1), through expm1 of t - t0, so the sums keep
+    their relative accuracy at large A and nothing overflows at small z.
+    """
+    a = np.hypot(z, nu)
+    ln_z = np.log(z)
+    ln_peak = np.log(nu + a)
+    ln_p0 = np.maximum(ln_peak, 0.0)
+    peak, t0 = ln_peak - ln_z, ln_p0 - ln_z
+    p0 = np.maximum(nu + a, 1.0)
+    m0 = z * (z / p0)                               # z e^-t0
+    step = 0.72 / np.sqrt(a + 7.7)
+    # ln I falls from its peak by at least A (cosh s - 1) at t* + s, and by
+    # at least (A - nu)(cosh s - 1) and nu s^2 / (2 + s), less ln 2, at t* - s
+    d = _BESSEL_DROP
+    with np.errstate(divide="ignore"):
+        right = 2.0 * np.arcsinh(math.sqrt(d / 2.0) / np.sqrt(a))
+        left = np.minimum(peak, 2.0 * np.arcsinh(math.sqrt(d / 2.0 + 1.0)
+                                                 / np.sqrt(z * (z / (nu + a)))))
+    if nu > 0.0:
+        left = np.minimum(left, (d + 2.0 + math.sqrt((d + 2.0) * (d + 2.0 + 8.0 * nu)))
+                          / (2.0 * nu))
+    count = np.ceil((left + right) / step).astype(np.int64) + 1
+    first = ln_peak - ln_p0 - left                  # the first node, from t0
+    half_p0, half_m0, ln_mirror = 0.5 * p0, 0.5 * m0, -2.0 * nu * t0
+    ln_sum = np.empty_like(z)
+    # rows of similar node counts share one array, padded beyond their windows
+    order = np.argsort(count, kind="stable")
+    sorted_count = count[order]
+    k = np.arange(count.max(initial=0), dtype=float)
+    start = 0
+    while start < z.size:
+        rows = _BESSEL_NODES // sorted_count[start]
+        rows = max(_BESSEL_NODES // sorted_count[min(start + rows, z.size) - 1], 1)
+        idx = order[start:start + rows]
+        width = sorted_count[start + len(idx) - 1]
+        u = step[idx, None] * k[:width]
+        u += first[idx, None]
+        with np.errstate(over="ignore"):
+            # phi = (nu t - z cosh t) - (nu t0 - z cosh t0), u = t - t0
+            phi = np.expm1(u)
+            phi *= -half_p0[idx, None]
+            mirror = nu * u
+            phi += mirror
+            np.negative(u, out=u)
+            np.expm1(np.minimum(u, 700.0, out=u), out=u)  # the product stays below z
+            u *= half_m0[idx, None]
+            phi -= u
+        # cosh(nu t) = e^(nu t) (1 + e^(-2 nu t)) / 2: both halves, floored
+        # at e^-700, so that exp never takes its slow underflow path
+        mirror *= -2.0
+        mirror += phi
+        mirror += ln_mirror[idx, None]
+        np.exp(np.maximum(phi, -700.0, out=phi), out=phi)
+        phi += np.exp(np.maximum(mirror, -700.0, out=mirror), out=mirror)
+        # summed in node order up to each point's own last node, so that its
+        # bits do not depend on the rows it shares an array with
+        total = np.cumsum(phi, axis=1)[np.arange(len(idx)), count[idx] - 1]
+        total -= np.where(left[idx] == peak[idx], 0.5 * phi[:, 0], 0.0)
+        ln_sum[idx] = np.log(total * step[idx])
+        start += len(idx)
+    return nu * ln_p0 - (half_p0 + half_m0) - _LN2 + ln_sum
+
 
 class _CdfTable:
     """P{X > x} of one symmetrized gamma law at every real x.
@@ -97,10 +182,6 @@ class _CdfTable:
         mid = self._u0 + self._h * (np.arange(panels) + 0.5)
         x = np.exp(mid[:, None] + 0.5 * self._h * _GL_NODES)
         f = 0.5 * self._h * x * law.pdf(x)
-        if not np.all(np.isfinite(f)):
-            raise IntegrationError(
-                f"the density for m={law.m:g} overflows double precision on "
-                f"[{_SERIES_CUTOFF:g}, {top:g}]")
         coef = f @ _NODES_TO_LEGENDRE
         # per panel, tau -> integral of the interpolant from tau to the upper edge
         self._upper = -legendre.legint(coef, lbnd=1, axis=1)
@@ -203,29 +284,26 @@ class SymmetrizedGamma:
         """Density p_m(x); symmetric, integrates to 1.
 
         Returns ``inf`` at x = 0 when the density is unbounded there
-        (m >= 2); that is the singularity signal, and 0 at x = +-inf.  For
-        m < 2, where the Bessel form overflows below the series cutoff, it
-        is the CDF's two-term small-z series.
+        (m >= 2); that is the singularity signal, and 0 at x = +-inf.
+        Summed in logs, ln(z^nu K_nu(z)) included, so it neither overflows
+        nor underflows before the far tail, where it underflows to 0.
         """
-        from scipy.special import kve
-
         a = self.shape
-        ax = np.abs(np.asarray(x, dtype=float))
-        z = ax / self.scale
-        # summed in logs: for small m the prefactor alone underflows; the
-        # scaled Bessel keeps e^-z explicit, so the far tail underflows to 0
-        with np.errstate(all="ignore"):
-            out = np.exp(self._log_pdf_prefactor + (a - 0.5) * np.log(z)
-                         + np.log(kve(abs(a - 0.5), z)) - z)
-            if self.m < 2.0:
-                # kve overflows at tiny z (|x| <= 1e-7 at m = 0.022), where the
-                # density is finite and the series exact to double precision
-                c1, e1, c2, e2 = self._series_coeff
-                series = (ax <= _SERIES_CUTOFF) & ~np.isfinite(out)
-                if series.any():
-                    out = np.where(series, c1 * z ** e1 + c2 * z ** e2, out)
-        # at z = inf the log form is inf - inf
-        out = np.where(z == 0.0, self._pdf_at_zero, np.where(z == math.inf, 0.0, out))
+        nu = abs(a - 0.5)
+        z = np.abs(np.asarray(x, dtype=float))
+        z /= self.scale
+        out = np.full(np.shape(z), np.nan)
+        flat_z, flat_out = np.ravel(z), out.reshape(-1)
+        for lo in range(0, flat_z.size, _BESSEL_POINTS):
+            zb = flat_z[lo:lo + _BESSEL_POINTS]
+            ob = flat_out[lo:lo + _BESSEL_POINTS]
+            inside = (zb > 0.0) & (zb < math.inf)
+            zi = zb[inside]
+            # z^(a - 1/2) K = z^(a - 1/2 - nu) (z^nu K); the power is 1 for m <= 2
+            ob[inside] = np.exp(self._log_pdf_prefactor + (a - 0.5 - nu) * np.log(zi)
+                                + _log_zk(nu, zi))
+            ob[zb == 0.0] = self._pdf_at_zero
+            ob[zb == math.inf] = 0.0
         return float(out) if out.ndim == 0 else out
 
     # ------------------------------------------------------------------

@@ -7,8 +7,8 @@ integral, over every point's nodes at once.
 
 ``integrate_sin`` is the sin-weighted QAWO rule for CF inversion (the
 tests' stable oracle); it loads ``scipy.integrate`` on first use and has
-no runtime caller.  ``QuadratureSpec`` and ``_check_quad`` serve it and
-the tests' QUADPACK oracle.
+no runtime caller, so scipy is a test dependency only.  ``QuadratureSpec``
+and ``_check_quad`` serve it and the tests' QUADPACK oracle.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ tautology:
 * ``sg_pdf_cf_inversion_mp``: the density recovered from the
   characteristic function by an oscillatory cosine inversion
   (mpmath.quadosc); slow, used to freeze values.
-* ``bessel_k_integral_mp``: K_nu from its cosh integral representation.
+* ``bessel_k_integral_mp``, ``bessel_k_peak_mp``: K_nu from its cosh
+  integral representation, plainly and split about the peak; the package
+  sums the same integral with a trapezoid rule.
 * ``quadpack``: scipy's adaptive QUADPACK (QAGS, QAGI); the package's
   tail beyond a CDF table's top is a fixed Gauss-Laguerre sum.
 * ``stable_cdf_qawo``: the symmetric stable CDF by inverting the
@@ -60,7 +62,9 @@ def sg_tail_mp(x, m, dps=20):
     exp at the huge nodes of an infinite interval costs more than the rest.
     Below the first point the integral runs in u = W^a, which absorbs the
     W^(a-1) singularity of the density.  Checked against the package over
-    m >= 0.022.
+    m >= 1e-3; there the gamma bulk, sqrt(a) wide about W = a, needs no
+    breakpoints of its own (ones sqrt(a)/2 apart gave the same values at
+    m = 0.01, 3e-3 and 1e-3, 10 to 70 times slower).
     """
     mp.mp.dps = dps
     a = mp.mpf(1) / m
@@ -94,6 +98,23 @@ def bessel_k_integral_mp(nu, x, dps=30):
     mp.mp.dps = dps
     nu_, x_ = mp.mpf(nu), mp.mpf(x)
     return mp.quad(lambda t: mp.e ** (-x_ * mp.cosh(t)) * mp.cosh(nu_ * t), [0, 40])
+
+
+def bessel_k_peak_mp(nu, x, dps=30):
+    """K_nu(x) from the same cosh integral, split about its peak.
+
+    The integrand e^(-x cosh t) cosh(nu t) peaks near t* = asinh(nu/x),
+    with width w = (x cosh t*)^(-1/2); breakpoints at 0, at t* + j w for
+    j = -40, -36, ..., 40 and 10 beyond the last.  This reaches orders
+    where ``mp.besselk`` does not converge (nu = 999.5 at x = 3e3).
+    """
+    mp.mp.dps = dps
+    nu_, x_ = mp.mpf(nu), mp.mpf(x)
+    peak = mp.asinh(nu_ / x_)
+    w = 1 / mp.sqrt(x_ * mp.cosh(peak))
+    points = sorted({mp.mpf(0)} | {peak + j * w for j in range(-40, 41, 4) if peak + j * w > 0})
+    f = lambda t: mp.exp(-x_ * (mp.cosh(t) - 1) + nu_ * t) * (1 + mp.exp(-2 * nu_ * t)) / 2
+    return mp.quad(f, points + [points[-1] + 10]) * mp.exp(-x_)
 
 
 def quadpack(f, a, b, spec=QuadratureSpec()):
@@ -254,6 +275,17 @@ def random_sum_sample(config, rng):
     return math.sqrt(config.family.p) * float(y.sum())
 
 
+def sg_pdf_mp(x, m, bessel_k=None, dps=30):
+    """The density 2^(1/2-a) z^(a-1/2) K_nu(z) / (sqrt(pi) Gamma(a) s) in
+    mpmath, z = x/s, from mp.besselk unless ``bessel_k(nu, z)`` is given."""
+    mp.mp.dps = dps
+    a, s = 1 / mp.mpf(m), mp.sqrt(m)
+    z = mp.mpf(x) / s
+    k = (bessel_k or bessel_k_mp)(abs(a - 0.5), z)
+    mp.mp.dps = dps  # bessel_k_mp sets its own precision
+    return mp.power(2, 0.5 - a) * mp.power(z, a - 0.5) * k / (mp.sqrt(mp.pi) * mp.gamma(a) * s)
+
+
 def log_gamma_mp(x, dps=30):
     mp.mp.dps = dps
     return mp.loggamma(mp.mpf(x))
@@ -283,6 +315,17 @@ SG_DEEP_TAIL = {
     (10, 316): 6.1605752242626124594e-47,
     (50, 707): 8.1812367250972647667e-48,
     (100, 1000): 3.8526058287697956089e-48,
+}
+
+# sg_tail_mp(x, m) at dps 30 below m = 0.022, which the density once
+# overflowed; dps 40 agrees to 4e-30, dps 20 to 2e-19 and dps 15 to 1.6e-14
+SG_SMALL_M_TAIL = {
+    (0.01, 1.5): 0.14385990844719944628,
+    (0.01, 24.0): 2.1298297667777081868e-46,
+    (0.003, 3.0): 0.016997483120043338078,
+    (0.001, 0.3): 0.41597143546066786112,
+    (0.001, 4.0): 0.0023517678733513375287,
+    (0.001, 20.0): 8.462905876211412284e-44,
 }
 
 # P{|X| > 10 sigma} with sigma = sqrt(2) (threshold 10 sqrt(2))

@@ -35,6 +35,15 @@ class TestGaussBound:
         scaled = gauss_bound(ratio * c, c).bound
         assert math.isclose(base, scaled, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("scale", [2.0 ** -570, 2.0 ** -665, 2.0 ** 500])
+    def test_bound_is_a_function_of_the_ratio(self, scale):
+        # d^2 and sigma^2 under- or overflowed: ZeroDivisionError at tiny
+        # scales.  Powers of 2 scale d and sigma without rounding.
+        for bound in (gauss_bound, chebyshev_bound):
+            assert bound(10.0 * scale, scale).bound == bound(10.0, 1.0).bound
+        assert gauss_bound(10.0, 1.0).bound == 4.0 / 900.0
+        assert chebyshev_bound(10.0, 1.0).bound == 0.01
+
     def test_out_of_regime(self):
         with pytest.raises(OutOfRegimeError):
             gauss_bound(1.0, 1.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,31 @@ class TestSymmetrizedGammaPdf:
                            / (mp.sqrt(mp.pi) * mp.gamma(a) * mp.sqrt(m)))
             assert math.isfinite(got) and got == pytest.approx(expect, rel=1e-12, abs=0.0), x
 
+    @pytest.mark.parametrize("m", [0.01, 0.5, 2.0, 10.0])
+    def test_array_matches_scalar(self, m):
+        # each point's Bessel sum runs over its own nodes, so its bits do not
+        # depend on the points that share the call (as the tail rule assumes)
+        d = SymmetrizedGamma(m)
+        xs = np.geomspace(1e-7, 300.0 * d.scale, 400)
+        got = d.pdf(xs)
+        assert np.array_equal(got, [d.pdf(float(x)) for x in xs])
+        assert np.array_equal(got, d.pdf(xs[::-1])[::-1])
+
+    def test_memory_is_bounded(self):
+        # a tail lookup's one density call: 16384 points x 32 Laguerre nodes.
+        # The Bessel factor's node arrays go in blocks, so the peak is the
+        # 4 MiB result, |x| / s and the blocks' working arrays.
+        d = SymmetrizedGamma(10.0)
+        x = np.linspace(160.0, 2000.0, 16384 * 32).reshape(16384, 32)
+        tracemalloc.start()
+        try:
+            got = d.pdf(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == x.shape and np.all(np.isfinite(got))
+        assert peak < 16 * 2 ** 20
+
     def test_symmetry(self):
         d = SymmetrizedGamma(7.0)
         for x in (0.2, 1.0, 3.7, 12.0):
@@ -181,6 +207,18 @@ class TestSymmetrizedGammaCdf:
         got = oracles.sg_tail_mp(x, m, dps=dps)
         assert abs(float(got) / oracles.SG_DEEP_TAIL[m, x] - 1.0) <= 1e-13
 
+    @pytest.mark.parametrize("m,x", list(oracles.SG_SMALL_M_TAIL))
+    def test_small_m_against_oracle(self, m, x):
+        # below m = 0.022 the density's Bessel factor overflowed, and these raised
+        want = oracles.SG_SMALL_M_TAIL[m, x]
+        assert abs(SymmetrizedGamma(m).survival(x) / want - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("dps", [15, 20])
+    def test_small_m_oracle_converges(self, dps):
+        # the live oracle against its frozen dps-30 value, on a thin sample
+        got = oracles.sg_tail_mp(24.0, 0.01, dps=dps)
+        assert abs(float(got) / oracles.SG_SMALL_M_TAIL[0.01, 24.0] - 1.0) <= 1e-13
+
     @pytest.mark.parametrize("m", [0.022, 0.3, 2.0, 50.0, 1e4])
     def test_tail_meets_table_at_top(self, m):
         # the table's value at its top and the tail rule just beyond it
@@ -203,6 +241,22 @@ class TestSymmetrizedGammaCdf:
         if xs[1] - xs[0] > 1e-12 * xs[1]:
             assert got[1] <= got[0]
         assert np.array_equal(got, [d.survival(float(x)) for x in xs])
+
+    @given(st.floats(math.log(1e-3), math.log(1e4)),
+           st.lists(st.floats(0.0, 1e4), min_size=2, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_survival_properties_on_the_domain(self, log_m, xs):
+        # m in [1e-3, 1e4]: survival in [0, 1], non-increasing, symmetric.
+        # Points closer than 1e-12 relative are not compared (the table and
+        # the tail agree to that resolution at the top).
+        d = SymmetrizedGamma(math.exp(log_m))
+        xs = np.sort(xs)
+        got = d.survival(xs)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        apart = np.diff(xs) > 1e-12 * xs[1:]
+        assert np.all(np.diff(got)[apart] <= 0.0)
+        assert np.array_equal(d.survival(-xs), 1.0 - got)
+        assert np.array_equal(d.cdf(xs), 1.0 - got)
 
     def test_interpolator_is_cdf(self):
         # the law keeps one table: the interpolator is cdf, whatever x_max

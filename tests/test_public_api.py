@@ -15,7 +15,7 @@ def test_all_matches_public_names():
 
 
 def test_scipy_imports():
-    # the runtime needs kve alone; quad serves specfun.integrate_sin, which
+    # the runtime needs no scipy; quad serves specfun.integrate_sin, which
     # no command calls.  Any further scipy use shows up here.
     found = set()
     for path in sorted(Path(nugamma.__file__).parent.glob("*.py")):
@@ -28,5 +28,4 @@ def test_scipy_imports():
                 continue
             found |= {(path.name, mod, name) for mod, name in names
                       if mod.split(".")[0] == "scipy"}
-    assert found == {("dist.py", "scipy.special", "kve"),
-                     ("specfun.py", "scipy.integrate", "quad")}
+    assert found == {("specfun.py", "scipy.integrate", "quad")}

@@ -148,6 +148,12 @@ class TestExitCodes:
         assert out.stderr.startswith(prefix) and out.stderr.count("\n") == 1
         assert "Traceback" not in out.stderr
 
+    def test_bounds_at_underflowing_scales(self):
+        # d^2 and sigma^2 underflowed to 0: exit 3 with a ZeroDivisionError
+        out = _cli_subprocess(["bounds", "--sigma", "1e-171", "--d-list", "1e-170"])
+        assert out.returncode == 0 and "Traceback" not in out.stderr
+        assert "0.0044444444444444444" in out.stdout and "0.01 " in out.stdout
+
     def test_data_constant_series(self, tmp_path, capsys):
         p = tmp_path / "const.csv"
         p.write_text("x\n1.0\n1.0\n1.0\n1.0\n")
@@ -190,9 +196,15 @@ class TestExitCodes:
             cli._rows([0, 1], FitError, blank, row)
 
     @pytest.mark.parametrize("args", [["table1", "--m-list", "0.001"], ["fig1", "--m", "0.001"]])
-    def test_numeric_density_overflow(self, args, capsys):
-        # the Bessel factor of m = 0.001 overflows double precision
-        assert run(args) == 3
+    def test_density_reaches_m_1e_3(self, args, tmp_path):
+        # the Bessel factor of m = 0.001 overflowed double precision, and these
+        # exited 3.  fig1's ratio is blank only where P{X > 1.5 x} underflows
+        # (x >= 40 at the default window).
+        rows = _run_json(tmp_path, args)["payload"]
+        values = [r.get("probability", r.get("ratio")) for r in rows]
+        defined = [v for v in values if v is not None]
+        assert values[0] is not None and len(defined) >= min(len(values), 39)
+        assert all(np.isfinite(v) and v > 0 for v in defined)
 
     @pytest.mark.parametrize("command", [["table1"], ["table3"], ["fig1"], ["bounds"],
                                          ["audit", "returns.csv"], ["hill"]], ids=" ".join)
@@ -309,18 +321,17 @@ class TestExitCodes:
                                           "copy", "csv", "dataclasses", "gettext", "json",
                                           "nugamma"])
 
-    def test_density_commands_load_no_quadpack(self):
-        # the SG tables' tails use the package's Gauss-Laguerre rule, so
-        # QUADPACK and what it pulls in stay unloaded
-        commands = [["table1"], ["fig1"], ["randsum", "--reps", "400"],
-                    ["randsum", "--component", "sg", "--reps", "400"]]
-        lines = _scipy_modules_after(commands)
-        assert [line.split()[:2] for line in lines] == [
-            ["table1", "0"], ["fig1", "0"], ["randsum", "0"], ["randsum", "0"]]
-        for line in lines:
-            assert "'scipy.special'" in line
-            for package in ("integrate", "optimize", "sparse", "linalg"):
-                assert f"'scipy.{package}" not in line, line
+    def test_no_command_loads_scipy(self, tmp_path):
+        # the density's Bessel factor and the tables' tails are the package's
+        # own numpy rules, so no subcommand loads any scipy module
+        csv_path = tmp_path / "r.csv"
+        cells = map(repr, np.linspace(-3.0, 3.0, 200).tolist())
+        csv_path.write_text("ret\n" + "\n".join(cells) + "\n")
+        commands = [["table1"], ["table3", "--method", "both"], ["fig1"], ["bounds"],
+                    ["audit", str(csv_path)], ["randsum", "--reps", "400"],
+                    ["randsum", "--component", "sg", "--reps", "400"],
+                    ["fig2", "--reps", "200", "--n", "300"], ["hill", "--sims", "2", "--n", "500"]]
+        assert _scipy_modules_after(commands) == [f"{argv[0]} 0 []" for argv in commands]
 
     def test_fit_commands_load_no_scipy(self):
         # both fits use the package Nelder-Mead, and the stable CDF is numpy only

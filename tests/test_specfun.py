@@ -103,6 +103,41 @@ class TestBesselK:
     def test_underflow_signal(self):
         assert bessel_k_via_pdf(0.3, 800.0) == 0.0
 
+    @pytest.mark.parametrize("nu, a", [(0.0, 0.5), (0.4, 0.9), (0.4, 0.1), (0.49, 0.99),
+                                       (0.49, 0.01), (1.5, 2.0), (9.5, 10.0), (44.95, 45.45),
+                                       (99.5, 100.0)])
+    def test_density_against_mpmath(self, nu, a):
+        # the whole density, Bessel factor and Gamma(a) included, at both
+        # shapes a = 1/2 +- nu of an order below 1/2; where the exact value
+        # underflows (z >= 745 or so) the density must too
+        d = SymmetrizedGamma(1.0 / a)
+        for z in np.geomspace(1e-8, 3e3, 12):
+            x = z * d.scale
+            want = float(oracles.sg_pdf_mp(x, d.m))
+            got = d.pdf(x)
+            if want > 1e-300:
+                assert abs(got / want - 1.0) <= 1e-10, z
+            else:
+                assert got <= 1e-290, z
+
+    @pytest.mark.parametrize("z", [1e-8, 50.0, 3e3])
+    def test_order_999_5_against_quadrature(self, z):
+        # m = 1e-3, a = 1000: mp.besselk does not converge at z = 3e3, so the
+        # oracle is the cosh integral split about its peak.  ln(z^nu K) is
+        # about 6.6e3 here, whose last bit is 9e-13, and ln Gamma(1000) is
+        # 5.9e3: both sides are held to 1e-11 relative.
+        nu = 999.5
+        k = oracles.bessel_k_peak_mp(nu, z, dps=20)
+        want = float(oracles.mp.log(k) + nu * oracles.mp.log(z))
+        assert abs(dist._log_zk(nu, np.array([z]))[0] - want) <= 1e-11
+        d = SymmetrizedGamma(1.0 / 1000.0)
+        want = float(oracles.sg_pdf_mp(z * d.scale, d.m, lambda nu_, z_: k, dps=20))
+        got = d.pdf(z * d.scale)
+        if want > 1e-300:
+            assert abs(got / want - 1.0) <= 1e-11
+        else:
+            assert got == 0.0
+
     @pytest.mark.parametrize("x", [0.0, -2.0])
     def test_domain_error(self, x):
         # the Bessel argument |x| / sqrt(m) needs m > 0
