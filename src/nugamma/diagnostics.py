@@ -60,9 +60,9 @@ MISSING_MARKERS = frozenset({"NA"})
 
 # after the first data row, the file is read in blocks of this many
 # characters, cut at their last newline, and the selected cells of a
-# block are converted in one pass; a block holding a short row or a cell
-# float() rejects is parsed again row by row.  Larger blocks raise
-# audit's peak memory and gain nothing.
+# block are converted in one pass; a block holding a short row, a cell
+# float() rejects or a value that is not finite is parsed again row by
+# row.  Larger blocks raise audit's peak memory and gain nothing.
 CSV_BLOCK = 1 << 16
 
 
@@ -88,10 +88,6 @@ def _nonblank(row: list[str]) -> bool:
     return any(c.strip() for c in row)
 
 
-def _unparseable(idx: int, cell: str | None) -> DataError:
-    return DataError(f"unparseable value in column {idx}: {cell!r}")
-
-
 def _take_rows(rows, idx: int, strict: bool, values: array) -> int:
     """Append each row's cell idx to values when it is a finite number;
     returns the count of non-blank rows skipped."""
@@ -105,29 +101,26 @@ def _take_rows(rows, idx: int, strict: bool, values: array) -> int:
             values.append(v)
         elif _nonblank(r):
             if strict:
-                raise _unparseable(idx, r[idx] if -len(r) <= idx < len(r) else None)
+                cell = r[idx] if -len(r) <= idx < len(r) else None
+                raise DataError(f"unparseable value in column {idx}: {cell!r}")
             skipped += 1
     return skipped
 
 
 def _take_lines(lines: list[str], idx: int, strict: bool, values: array) -> int:
     """:func:`_take_rows` over lines holding no quote or carriage return,
-    with one ``float`` conversion for all of them."""
+    with one ``float`` conversion for all of them when every value is
+    finite; any other block goes to :func:`_take_rows` row by row."""
     try:
-        cells = [ln.split(",")[idx] for ln in lines]
         # into a fresh array: values.extend would keep the cells before a bad one
-        vals = array("d", map(float, cells))
+        vals = array("d", map(float, [ln.split(",")[idx] for ln in lines]))
     except (IndexError, ValueError):
-        return _take_rows([ln.split(",") for ln in lines], idx, strict, values)
-    arr = np.frombuffer(vals)
-    finite = np.isfinite(arr)
-    if finite.all():
-        values.extend(vals)
-        return 0
-    if strict:
-        raise _unparseable(idx, cells[int(np.argmin(finite))])
-    values.frombytes(arr[finite].tobytes())
-    return len(arr) - int(np.count_nonzero(finite))
+        pass
+    else:
+        if np.isfinite(np.frombuffer(vals)).all():
+            values.extend(vals)
+            return 0
+    return _take_rows([ln.split(",") for ln in lines], idx, strict, values)
 
 
 def _take_rest(fh, idx: int, strict: bool, values: array) -> int:
@@ -310,10 +303,11 @@ def empirical_kurtosis(sample) -> float:
     if len(x) < 4:
         raise ValueError("kurtosis needs at least 4 observations")
     c = x - x.mean()
-    m2 = float(np.mean(c * c))
+    c *= c  # squared in place: c ** 4 would go through the generic pow
+    m2 = float(np.mean(c))
     if m2 == 0.0:
         raise ValueError("kurtosis undefined for a degenerate (zero-variance) sample")
-    return float(np.mean(c ** 4) / (m2 * m2))
+    return float(np.mean(c * c) / (m2 * m2))
 
 
 def _check_level(k) -> float:

@@ -35,6 +35,12 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from . import specfun
+from .errors import OutOfRegimeError
+
+# m on which the density, and so every CDF table, is tested against mpmath.
+# Each end admits a relative 1e-12, so that 1/1000.0 and exp(ln 1e4) =
+# 10000.00000000001 still answer.
+_M_LO, _M_HI = 1e-3 * (1.0 - 1e-12), 1e4 * (1.0 + 1e-12)
 
 _EULER_GAMMA = 0.5772156649015329
 _SQRT2 = math.sqrt(2.0)
@@ -287,7 +293,12 @@ class SymmetrizedGamma:
         (m >= 2); that is the singularity signal, and 0 at x = +-inf.
         Summed in logs, ln(z^nu K_nu(z)) included, so it neither overflows
         nor underflows before the far tail, where it underflows to 0.
+        Raises OutOfRegimeError for m outside [1e-3, 1e4], and so do the
+        CDF views, whose tables are built from the density.
         """
+        if not _M_LO <= self.m <= _M_HI:
+            raise OutOfRegimeError(f"m={self.m:g} is outside the symmetrized gamma "
+                                   "density's tested domain [1e-3, 1e4]")
         a = self.shape
         nu = abs(a - 0.5)
         z = np.abs(np.asarray(x, dtype=float))

@@ -14,7 +14,10 @@ class FitError(NuGammaError):
 
 
 class OutOfRegimeError(NuGammaError, ValueError):
-    """Requested bound outside its validity region (d^2 < 4 sigma^2 / 3)."""
+    """A parameter outside the domain where a result is valid or tested:
+    the unimodal bound's regime d^2 >= 4 sigma^2 / 3, the symmetrized gamma
+    density's m in [1e-3, 1e4], or a counting family's p so small that its
+    summand counts would overflow int64."""
 
 
 class DataError(NuGammaError, ValueError):

@@ -35,7 +35,7 @@ import numpy as np
 from .cffit import minimize
 from .diagnostics import ks_distance
 from .dist import SymmetricStable, SymmetrizedGamma
-from .errors import FitError
+from .errors import FitError, OutOfRegimeError
 from .parallel import chunked_draws
 
 ECDF_GRID_POINTS = 512
@@ -46,6 +46,14 @@ ECDF_CENTRAL_SPAN = 0.999
 # one by one (uniform) cost one draw each: a stage whose expected count,
 # replicates / p, exceeds this is refused before drawing
 MAX_EXPECTED_SUMMANDS = 2 ** 34
+# nu = 1 + m N is drawn in int64, N ~ Poisson(lam) with lam = G (1 - p)/p
+# and G ~ Gamma(1/m, 1).  As 1/m <= 1, G lies stochastically below Exp(1),
+# so P{G > 50} <= e^-50 ~ 2e-22 per draw and nu's tail scale is m/p.  For
+# p >= 50 m 2^-62 every G up to 50 keeps m lam below 2^62, half of int64's
+# range, which leaves room for N's Poisson spread of sqrt(lam) and the + 1.
+# Far below it 1 + m N wraps around to negative counts (m = 3, p = 1e-18),
+# or numpy's Poisson refuses lam outright (p = 1e-300)
+COUNT_TAIL_SCALES = 50.0
 # flat summand draws are reduced in sub-batches of about this many, split
 # on replicate boundaries, so memory stays flat at every p; 1 MiB of
 # doubles stays in a core's L2 cache while it is drawn, scaled and summed
@@ -54,7 +62,8 @@ FLAT_BATCH = 2 ** 17
 
 @dataclass(frozen=True)
 class NuFamily:
-    """Counting family nu_p: positive whole-number m, p in (0, 1)."""
+    """Counting family nu_p: positive whole-number m, p in (0, 1) and
+    p >= COUNT_TAIL_SCALES m 2^-62, so that every count fits in int64."""
 
     m: int
     p: float
@@ -64,6 +73,10 @@ class NuFamily:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"p must be in (0, 1), got {self.p}")
+        if self.m > self.p * 2.0 ** 62 / COUNT_TAIL_SCALES:
+            raise OutOfRegimeError(
+                f"p={self.p:g} is below {COUNT_TAIL_SCALES:g} m 2^-62 at m={self.m}: "
+                "its summand counts 1 + m N would overflow int64")
 
     @property
     def mean(self) -> float:

@@ -486,8 +486,8 @@ class TestBlockPath:
         self._compare(p, column, strict, block)
 
     @pytest.mark.parametrize("bad, first", [
-        ("1\n2\ninf\nabc\n5\n", "'inf'"),    # non-finite first: the numpy filter
-        ("1\n2\nabc\ninf\n5\n", "'abc'"),    # unparseable first: the row-by-row pass
+        ("1\n2\ninf\nabc\n5\n", "'inf'"),    # non-finite first
+        ("1\n2\nabc\ninf\n5\n", "'abc'"),    # unparseable first
         ("1,1\n2,2\n3\n4,inf\n", "None"),    # a short row, no cell at all
     ])
     def test_strict_names_first_bad_cell(self, tmp_path, monkeypatch, bad, first):
@@ -504,8 +504,8 @@ class TestBlockPath:
     @pytest.mark.parametrize("strict", [False, True])
     def test_short_lines_fill_a_block(self, tmp_path, strict):
         # at the real block size, lines of at most 4 characters put more than
-        # 8192 of them in one block; NA rows and an unparseable cell send
-        # their blocks row by row, and nan and inf take the finite filter
+        # 8192 of them in one block; NA rows, nan, inf and an unparseable
+        # cell send their blocks row by row
         cells = [str(i % 97) for i in range(60000)]
         for i in range(100, 9000, 1000):
             cells[i] = "NA"

@@ -10,7 +10,7 @@ from scipy.special import ndtr
 from nugamma import GaussExtremalMixture, dist
 from nugamma.dist import SymmetricStable, SymmetrizedGamma
 from nugamma.diagnostics import ks_critical_value, ks_distance
-from nugamma.errors import IntegrationError
+from nugamma.errors import IntegrationError, OutOfRegimeError
 from nugamma.parallel import child_rng
 
 import oracles
@@ -55,6 +55,20 @@ class TestSymmetrizedGammaCF:
             SymmetrizedGamma(math.inf)
         with pytest.raises(ValueError, match="m must be finite and positive"):
             SymmetrizedGamma(math.nan)
+
+    def test_density_domain(self):
+        # SymmetrizedGamma(1e-5).survival(0.5) returned 0.175, where the
+        # normal limit N(0, 2) gives 0.362; each end admits a relative 1e-12
+        for m in (1.0 / 1000.0, math.exp(math.log(1e4))):
+            assert 0.0 < SymmetrizedGamma(m).survival(0.5) < 0.5
+        for m in (1e-3 * (1.0 - 1e-11), 1e-5, 1e4 * (1.0 + 1e-11), 1e-300):
+            d = SymmetrizedGamma(m)
+            for view in (d.pdf, d.survival, d.cdf, d.two_sided_exceed):
+                with pytest.raises(OutOfRegimeError, match="tested domain"):
+                    view(0.5)
+            # sampling, the CF and the moments stay open
+            assert np.isfinite(d.sample(child_rng(SEED, 9), 4)).all()
+            assert 0.0 < d.cf(1.0) <= 1.0 and d.kurtosis == 3.0 * (1.0 + m)
 
 
 class TestSymmetrizedGammaPdf:

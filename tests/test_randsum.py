@@ -7,7 +7,7 @@ from scipy.stats import ks_2samp
 from nugamma import dist, randsum
 from nugamma.diagnostics import ks_critical_value, ks_distance
 from nugamma.dist import SymmetricStable, SymmetrizedGamma
-from nugamma.errors import FitError
+from nugamma.errors import FitError, OutOfRegimeError
 from nugamma.parallel import CHUNK, child_rng
 from nugamma.randsum import (
     Component,
@@ -36,6 +36,15 @@ class TestNuFamily:
             NuFamily(2, 1.0)
         with pytest.raises(ValueError):
             NuFamily(2.5, 0.5)  # whole-number parameter only
+
+    def test_counts_fit_in_int64(self):
+        # 1 + m N wrapped around to negative counts at p = 1e-18 ("shape < 0"),
+        # and numpy's Poisson refused lam at p = 1e-300
+        for p in (1e-18, 1e-300):
+            with pytest.raises(OutOfRegimeError, match="overflow int64"):
+                NuFamily(3, p)
+        nu = NuFamily(3, 1e-16).sample(child_rng(SEED, 43), size=10 ** 5)
+        assert np.all(nu >= 1) and np.all((nu - 1) % 3 == 0)
 
     def test_pgf_normalization(self):
         for m, p in ((1, 0.3), (3, 0.2), (10, 0.05)):
