@@ -15,13 +15,11 @@ from .bounds import (
 )
 from .cffit import (
     FitWindow,
-    SandwichCheck,
     StableFit,
     feasible_lambda_interval,
     fit_stable_cf_values,
     fit_stable_to_cf,
     sum_cf,
-    verify_sandwich,
 )
 from .diagnostics import (
     ReturnSeries,
@@ -52,8 +50,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundResult", "chebyshev_bound", "expected_exceedances", "gauss_bound",
-    "FitWindow", "SandwichCheck", "StableFit", "feasible_lambda_interval",
-    "fit_stable_cf_values", "fit_stable_to_cf", "sum_cf", "verify_sandwich",
+    "FitWindow", "StableFit", "feasible_lambda_interval",
+    "fit_stable_cf_values", "fit_stable_to_cf", "sum_cf",
     "ReturnSeries", "TailReport", "build_tail_report",
     "empirical_kurtosis", "exceedance_counts", "hill_estimate", "hill_experiment",
     "ks_critical_value", "ks_distance", "read_return_series", "tail_ratio_curve",

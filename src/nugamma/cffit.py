@@ -6,15 +6,17 @@ satisfies the summation identity
     f^n(t / sqrt(n)) = f(t, m/n),
 
 so summation only moves the family parameter.  On a window (delta,
-Delta) one can always sandwich
+Delta) the paper sandwiches
 
     f(t, m_eff) > exp(-lambda t^alpha) > exp(-t^2),
 
-equivalently  log(1 + m_eff t^2) / (m_eff t^2) < lambda t^(alpha-2) < 1,
-by taking lambda small enough at t = delta.  This module checks that
-sandwich on a grid, reports the feasible lambda interval at delta, and
-fits (alpha, lambda) to f(t, m/n) by either log-log regression or least
-squares on CF values.
+equivalently  log(1 + m_eff t^2) / (m_eff t^2) < lambda t^(alpha-2) < 1.
+At a single t = delta some lambda always fits, because log(1+u)/u < 1
+for u > 0; over a whole window the lambdas that fit form one interval,
+which may be empty.  This module gives that interval on the window's
+grid, and fits (alpha, lambda) to f(t, m/n) by either log-log regression
+or least squares on CF values.  Over (0.005, 0.5) the interval is empty
+at the fitted alpha of every reference row, n = 1 to 100 at m = 20.
 
 The least-squares method on a linearly spaced grid reproduces the
 reference (alpha, lambda) sweep at m = 20 over the window (0.005, 0.5)
@@ -155,13 +157,6 @@ class StableFit:
     method: str
 
 
-@dataclass(frozen=True)
-class SandwichCheck:
-    holds: bool
-    violation_t: float | None = None
-    violated_side: str | None = None  # "lower" or "upper"
-
-
 def sum_cf(m: float, n: int, t) -> float | np.ndarray:
     """CF of the standardized n-fold sum: f(t, m/n) = (1 + (m/n) t^2)^(-n/m)."""
     if n < 1:
@@ -169,47 +164,24 @@ def sum_cf(m: float, n: int, t) -> float | np.ndarray:
     return SymmetrizedGamma(m / n).cf(t)
 
 
-def verify_sandwich(m_eff: float, alpha: float, lam: float, window: FitWindow) -> SandwichCheck:
-    """Check log(1+m t^2)/(m t^2) < lambda t^(alpha-2) < 1 on the window grid.
+def feasible_lambda_interval(m_eff: float, alpha: float,
+                             window: FitWindow) -> tuple[float, float]:
+    """Bounds (lo, hi) of the lambdas that sandwich f(t, m_eff) on the window.
 
-    Both inequalities are strict and are checked at every point of the
-    log-spaced grid (a violation of the upper inequality concentrates at
-    small t, of the lower one at large t, so neither end may be skipped).
-    Returns the first violating grid point when the sandwich fails.
+    log(1 + m t^2)/(m t^2) < lambda t^(alpha-2) < 1 holds at every point
+    of the log-spaced grid exactly when lo < lambda < hi, where lo is the
+    largest t^(2-alpha) log(1 + m t^2)/(m t^2) on the grid and hi is
+    delta^(2-alpha), the smallest t^(2-alpha).  The interval may be
+    empty (lo >= hi).
     """
     if not (0.0 < alpha < 2.0):
         raise ValueError("alpha must be in (0, 2)")
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    if not 0.0 < m_eff < math.inf:
+        raise ValueError("m_eff must be finite and positive")
     ts = window.log_grid()
     u = m_eff * ts * ts
-    lower = np.log1p(u) / u
-    mid = lam * ts ** (alpha - 2.0)
-    bad_lower = lower >= mid
-    bad_upper = mid >= 1.0
-    if not (bad_lower.any() or bad_upper.any()):
-        return SandwichCheck(holds=True)
-    idx_l = np.argmax(bad_lower) if bad_lower.any() else len(ts)
-    idx_u = np.argmax(bad_upper) if bad_upper.any() else len(ts)
-    if idx_u <= idx_l:
-        return SandwichCheck(holds=False, violation_t=float(ts[idx_u]), violated_side="upper")
-    return SandwichCheck(holds=False, violation_t=float(ts[idx_l]), violated_side="lower")
-
-
-def feasible_lambda_interval(m_eff: float, alpha: float, delta: float) -> tuple[float, float]:
-    """Open interval of lambda satisfying the sandwich at t = delta.
-
-    (delta^(2-alpha) * log(1 + m delta^2)/(m delta^2),  delta^(2-alpha));
-    nonempty for every delta > 0 because log(1+u)/u < 1 for u > 0.
-    """
-    if not (0.0 < alpha < 2.0):
-        raise ValueError("alpha must be in (0, 2)")
-    if not (delta > 0 and m_eff > 0):
-        raise ValueError("delta and m_eff must be positive")
-    u = m_eff * delta * delta
-    hi = delta ** (2.0 - alpha)
-    lo = hi * math.log1p(u) / u
-    return lo, hi
+    lo = float(np.max(ts ** (2.0 - alpha) * np.log1p(u) / u))
+    return lo, window.delta ** (2.0 - alpha)
 
 
 def _loglog_fit(ts: np.ndarray, fvals: np.ndarray) -> tuple[float, float, float]:

@@ -151,21 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
 # (title, ylabel, rows, x column, y columns) drawn from payload rows
 # ----------------------------------------------------------------------
 
-def _rows(keys, error, blank, row):
-    """``row(key)`` per key; a key whose row raises ``error`` gets
-    ``blank(key)`` plus the message under "error".  Raises ``error`` when
-    every row failed."""
-    rows = []
-    for key in keys:
-        try:
-            rows.append(row(key))
-        except error as exc:
-            rows.append({**blank(key), "error": str(exc)})
-    if all("error" in r for r in rows):
-        raise error(f"every row failed; first: {rows[0]['error']}")
-    return rows
-
-
 def _cmd_table1(args):
     unit = "sigma" if args.strict_sigma else "sigma_squared"
     rows = [{"m": m, "probability": SymmetrizedGamma(m).two_sided_exceed(args.k_sigmas, unit=unit)}
@@ -182,13 +167,21 @@ def _cmd_table1(args):
 
 
 def _fit_rows(m, n_list, window, method):
-    def row(n):
-        fit = cffit.fit_stable_to_cf(m, n, window, method)
-        return {"n": n, "alpha": fit.alpha, "lambda": fit.lam,
-                "residual": fit.residual, "method": fit.method}
-
-    return _rows(n_list, FitError, lambda n: {"n": n, "alpha": None, "lambda": None,
-                                               "residual": None, "method": method}, row)
+    """One fit row per n; a row whose fit raises FitError is blank with the
+    message under "error".  Raises FitError when every row failed."""
+    rows = []
+    for n in n_list:
+        try:
+            fit = cffit.fit_stable_to_cf(m, n, window, method)
+        except FitError as exc:
+            rows.append({"n": n, "alpha": None, "lambda": None, "residual": None,
+                         "method": method, "error": str(exc)})
+        else:
+            rows.append({"n": n, "alpha": fit.alpha, "lambda": fit.lam,
+                         "residual": fit.residual, "method": fit.method})
+    if all("error" in r for r in rows):
+        raise FitError(f"every row failed; first: {rows[0]['error']}")
+    return rows
 
 
 # --method choice -> the cffit methods it fits, the first one charted

@@ -215,6 +215,7 @@ def theorem1_experiment(m: int, component: Component, p_schedule,
     for cfg in configs:
         _check_draw_budget(cfg)
     target = SymmetrizedGamma(float(m))
+    target._cdf_table  # built before any draw: it refuses an m outside its domain
     rows = []
     for stage, (p, cfg) in enumerate(zip(p_schedule, configs)):
         sums = random_sum_draws(cfg, stage=stage, workers=workers)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
 from nugamma import cffit
@@ -12,7 +14,6 @@ from nugamma.cffit import (
     fit_stable_cf_values,
     fit_stable_to_cf,
     sum_cf,
-    verify_sandwich,
 )
 from nugamma.dist import SymmetricStable, SymmetrizedGamma
 from nugamma.errors import FitError
@@ -43,47 +44,67 @@ class TestSumCf:
             sum_cf(5.0, 0, 1.0)
 
 
+def _sides(m_eff, alpha, lam, window) -> tuple[np.ndarray, np.ndarray]:
+    """Per grid point, log(1 + m t^2)/(m t^2) < lambda t^(alpha-2) and
+    lambda t^(alpha-2) < 1: the lower and the upper half of the sandwich."""
+    ts = window.log_grid()
+    u = m_eff * ts * ts
+    mid = lam * ts ** (alpha - 2.0)
+    return np.log1p(u) / u < mid, mid < 1.0
+
+
+def _holds(m_eff, alpha, lam, window) -> bool:
+    lower, upper = _sides(m_eff, alpha, lam, window)
+    return bool(lower.all() and upper.all())
+
+
+# log-uniform delta and relative window width, so that narrow windows,
+# on which the interval is often nonempty, are drawn as often as wide ones
+_WINDOWS = st.builds(lambda delta, width, size: FitWindow(delta, delta * (1.0 + width), size),
+                     st.floats(math.log(1e-4), 0.0).map(math.exp),
+                     st.floats(math.log(1e-12), math.log(1e3)).map(math.exp),
+                     st.integers(8, 256))
+
+
 class TestVerifySandwich:
+    """The sandwich, verified through the interval of feasible lambdas."""
+
     def test_upper_violation_at_delta(self):
-        # lambda >= delta^(2-alpha): the upper inequality fails right at t=delta
-        w = FitWindow(0.005, 0.5, 64)
+        # lambda = delta^(2-alpha) is the interval's open upper end
         alpha = 1.3
-        lam = 0.005 ** (2.0 - alpha)  # equality -> strict check fails
-        chk = verify_sandwich(20.0, alpha, lam, w)
-        assert not chk.holds
-        assert chk.violated_side == "upper"
-        assert chk.violation_t == pytest.approx(0.005, rel=1e-12)
+        lam = 0.005 ** (2.0 - alpha)
+        lo, hi = feasible_lambda_interval(20.0, alpha, FitWindow(0.005, 0.5, 64))
+        assert hi == lam and not lo < lam < hi
 
     def test_lower_violation_for_tiny_lambda(self):
-        chk = verify_sandwich(20.0, 1.3, 1e-12, FitWindow(0.005, 0.5, 64))
-        assert not chk.holds
-        assert chk.violated_side == "lower"
+        w = FitWindow(0.005, 0.5, 64)
+        assert 1e-12 < feasible_lambda_interval(20.0, 1.3, w)[0]
+        assert not _sides(20.0, 1.3, 1e-12, w)[0].all()
 
     def test_feasible_lambda_passes_at_delta(self):
-        # narrow window around delta: any lambda inside the feasibility
-        # interval satisfies both inequalities there
-        delta = 0.005
-        lo, hi = feasible_lambda_interval(20.0, 1.5, delta)
-        lam = 0.5 * (lo + hi)
-        w = FitWindow(delta, delta * 1.000001, 8)
-        assert verify_sandwich(20.0, 1.5, lam, w).holds
+        # narrow window around delta: any lambda inside the interval
+        # satisfies both inequalities at every grid point
+        w = FitWindow(0.005, 0.005 * 1.000001, 8)
+        lo, hi = feasible_lambda_interval(20.0, 1.5, w)
+        assert lo < hi
+        assert _holds(20.0, 1.5, 0.5 * (lo + hi), w)
 
     def test_reference_row_fails_sandwich_on_full_window(self):
-        # the reference n=1 fit (alpha=1.26906, lambda=0.226565) does NOT
-        # satisfy the sandwich on (0.005, 0.5): lambda t^(alpha-2) >= 1
-        # for t below lambda^(1/(2-alpha)) ~ 0.131, so the upper
-        # inequality fails over the lower part of the window
-        chk = verify_sandwich(20.0, 1.26906, 0.226565, FitWindow(0.005, 0.5, 256))
-        assert not chk.holds
-        assert chk.violated_side == "upper"
-        t_star = 0.226565 ** (1.0 / (2.0 - 1.26906))
-        assert chk.violation_t < t_star
+        # no lambda sandwiches f(t, 20/n) on (0.005, 0.5) at a reference
+        # row's alpha; the reference lambda itself breaks the upper
+        # inequality, lambda t^(alpha-2) >= 1, at t = delta (n = 1: lo
+        # 0.2373, hi 0.0208)
+        w = FitWindow(0.005, 0.5, 256)
+        for n, (alpha, lam) in oracles.TABLE3_REFERENCE.items():
+            lo, hi = feasible_lambda_interval(20.0 / n, alpha, w)
+            assert lo > hi and lam >= hi, n
+        assert feasible_lambda_interval(20.0, 1.26906, w) == pytest.approx((0.23733, 0.020801),
+                                                                          rel=1e-4)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            verify_sandwich(20.0, 2.0, 0.1, FitWindow(0.01, 0.5))
-        with pytest.raises(ValueError):
-            verify_sandwich(20.0, 1.5, 0.0, FitWindow(0.01, 0.5))
+        for m_eff, alpha in [(20.0, 2.0), (20.0, 0.0), (0.0, 1.5), (-1.0, 1.5), (math.inf, 1.5)]:
+            with pytest.raises(ValueError):
+                feasible_lambda_interval(m_eff, alpha, FitWindow(0.01, 0.5))
 
 
 class TestFeasibleLambdaInterval:
@@ -91,15 +112,34 @@ class TestFeasibleLambdaInterval:
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.95])
     @pytest.mark.parametrize("delta", [0.001, 0.05, 0.8])
     def test_nonempty(self, m_eff, alpha, delta):
-        lo, hi = feasible_lambda_interval(m_eff, alpha, delta)
+        # a window of relative width 1e-12 gives the interval at t = delta,
+        # (delta^(2-alpha) log(1+u)/u, delta^(2-alpha)) with u = m delta^2;
+        # at small u it stays nonempty only while the width is below about
+        # u / (2(2-alpha)), which 1e-6 is not for 5 of these cases
+        lo, hi = feasible_lambda_interval(m_eff, alpha, FitWindow(delta, delta * (1 + 1e-12), 8))
+        u = m_eff * delta * delta
         assert 0.0 < lo < hi
+        assert hi == delta ** (2.0 - alpha)
+        assert lo == pytest.approx(hi * math.log1p(u) / u, rel=1e-9)
 
     def test_alpha_to_two_limit(self):
         m_eff, delta = 20.0, 0.01
         u = m_eff * delta * delta
-        lo, hi = feasible_lambda_interval(m_eff, 1.9999999, delta)
+        lo, hi = feasible_lambda_interval(m_eff, 1.9999999,
+                                          FitWindow(delta, delta * (1 + 1e-12), 8))
         assert hi == pytest.approx(1.0, abs=1e-5)
         assert lo == pytest.approx(math.log1p(u) / u, rel=1e-5)
+
+    @given(st.floats(math.log(1e-2), math.log(1e3)).map(math.exp), st.floats(0.05, 1.99),
+           _WINDOWS, st.floats(0.001, 0.999))
+    @settings(max_examples=300, deadline=None)
+    def test_interval_is_the_sandwich(self, m_eff, alpha, window, frac):
+        lo, hi = feasible_lambda_interval(m_eff, alpha, window)
+        # lambda exactly at lo or hi is decided by rounding, hence the margins
+        assert not _sides(m_eff, alpha, hi * (1 + 1e-9), window)[1][0]  # fails at delta
+        assert not _sides(m_eff, alpha, lo * (1 - 1e-9), window)[0].all()
+        assume(hi - lo > 1e-9 * hi)
+        assert _holds(m_eff, alpha, lo + frac * (hi - lo), window)
 
 
 class TestFitStable:
@@ -113,15 +153,6 @@ class TestFitStable:
         fit2 = fit_stable_cf_values(cf, FitWindow(0.005, 0.5, 256), "ls-cf")
         assert fit2.alpha == pytest.approx(alpha0, abs=1e-5)
         assert fit2.lam == pytest.approx(lam0, abs=1e-5)
-
-    def test_reference_endpoint_rows(self):
-        w = FitWindow(0.005, 0.5, 256)
-        f1 = fit_stable_to_cf(20.0, 1, w, "ls-cf")
-        assert f1.alpha == pytest.approx(1.26906, abs=0.05)
-        assert f1.lam == pytest.approx(0.226565, abs=0.1)
-        f100 = fit_stable_to_cf(20.0, 100, w, "ls-cf")
-        assert f100.alpha == pytest.approx(1.976, abs=0.05)
-        assert f100.lam == pytest.approx(0.961771, abs=0.1)
 
     def test_clt_limit(self):
         # f(t, m/n) -> exp(-t^2): alpha -> 2, lambda -> 1
@@ -144,28 +175,6 @@ class TestFitStable:
             fit_stable_to_cf(20.0, 10, w, "ls-cf")
         # the regression method runs no optimizer
         assert fit_stable_to_cf(20.0, 10, w, "loglog-regression").alpha > 1.0
-
-
-class TestTable3Sweep:
-    """The reference sweep: one ls-cf fit per n at m = 20 over (0.005, 0.5)."""
-
-    @staticmethod
-    def _sweep():
-        w = FitWindow(0.005, 0.5, 256)
-        return [(n, fit_stable_to_cf(20.0, n, w)) for n in sorted(oracles.TABLE3_REFERENCE)]
-
-    def test_matches_reference_within_tolerance(self):
-        for n, fit in self._sweep():
-            ra, rl = oracles.TABLE3_REFERENCE[n]
-            assert fit.alpha == pytest.approx(ra, abs=0.05), n
-            assert fit.lam == pytest.approx(rl, abs=0.1), n
-
-    def test_columns_strictly_increasing(self):
-        rows = self._sweep()
-        alphas = [f.alpha for _, f in rows]
-        lams = [f.lam for _, f in rows]
-        assert all(b > a for a, b in zip(alphas, alphas[1:]))
-        assert all(b > a for a, b in zip(lams, lams[1:]))
 
 
 class TestWindowValidation:

@@ -47,10 +47,10 @@ class TestSymmetrizedGammaCF:
             assert np.all((f > g) | (ts == 0.0))
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            SymmetrizedGamma(0.0)
-        with pytest.raises(ValueError):
-            SymmetrizedGamma(-3.0)
+        # Gamma(1/m) and the Bessel argument |x| / sqrt(m) both need m > 0
+        for m in (0.0, -0.5, -1.0, -2.0, -3.0):
+            with pytest.raises(ValueError):
+                SymmetrizedGamma(m)
         with pytest.raises(ValueError, match="m must be finite and positive"):
             SymmetrizedGamma(math.inf)
         with pytest.raises(ValueError, match="m must be finite and positive"):

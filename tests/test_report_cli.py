@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import nugamma
-from nugamma import cli, randsum
+from nugamma import cffit, cli, randsum
 from nugamma.cli import run
 from nugamma.dist import SymmetrizedGamma
-from nugamma.errors import FitError
+from nugamma.errors import FitError, OutOfRegimeError
 from nugamma.parallel import child_rng
 from nugamma.report import (
     ReportDocument,
@@ -181,19 +181,20 @@ class TestExitCodes:
         assert run(args) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
 
-    def test_every_row_failed(self):
-        def row(key):
-            if key < 2:
-                raise FitError(f"bad {key}")
-            return {"key": key, "value": 2 * key}
+    def test_every_row_failed(self, monkeypatch):
+        def fit(m, n, window, method):
+            if n < 2:
+                raise FitError(f"bad {n}")
+            return cffit.StableFit(alpha=1.5, lam=0.5, residual=0.0, method=method)
 
-        def blank(key):
-            return {"key": key, "value": None}
-
-        assert cli._rows([1, 2], FitError, blank, row) == [
-            {"key": 1, "value": None, "error": "bad 1"}, {"key": 2, "value": 4}]
+        monkeypatch.setattr(cffit, "fit_stable_to_cf", fit)
+        window = cffit.FitWindow(0.005, 0.5)
+        assert cli._fit_rows(20.0, [1, 2], window, "ls-cf") == [
+            {"n": 1, "alpha": None, "lambda": None, "residual": None, "method": "ls-cf",
+             "error": "bad 1"},
+            {"n": 2, "alpha": 1.5, "lambda": 0.5, "residual": 0.0, "method": "ls-cf"}]
         with pytest.raises(FitError, match="^every row failed; first: bad 0$"):
-            cli._rows([0, 1], FitError, blank, row)
+            cli._fit_rows(20.0, [0, 1], window, "ls-cf")
 
     @pytest.mark.parametrize("args", [["table1", "--m-list", "0.001"], ["fig1", "--m", "0.001"]])
     def test_density_reaches_m_1e_3(self, args, tmp_path):
@@ -280,6 +281,19 @@ class TestExitCodes:
         assert run(args) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(prefix) and err.count("\n") == 1
+
+    def test_out_of_domain_m_refused_before_any_draw(self, monkeypatch, capsys):
+        # the KS target's CDF table refused m = 20000 only after stage 0 drew
+        monkeypatch.setattr(randsum, "random_sum_draws",
+                            lambda *a, **k: pytest.fail("a stage drew before the m check"))
+        with pytest.raises(OutOfRegimeError, match="m=20000 is outside"):
+            randsum.theorem1_experiment(20000, randsum.Component.uniform_var2(),
+                                        [0.01, 0.001], 100000, 1)
+        assert run(["randsum", "--m", "20000", "--reps", "100000",
+                    "--p-schedule", "0.01,0.001"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: m=20000 is outside")
+        assert err.count("\n") == 1
 
     def test_randsum_over_draw_budget_is_usage_error(self, capsys):
         assert run(["randsum", "--reps", "100000", "--p-schedule", "0.01,0.000001"]) == 1
