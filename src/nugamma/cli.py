@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--m", type=float, default=50.0)
     q.add_argument("--x-min", type=float, default=1.0)
     q.add_argument("--x-max", type=float, default=50.0)
-    q.add_argument("--points", type=int, default=50)
+    q.add_argument("--points", type=_count, default=50)
     q.add_argument("--factor", type=float, default=1.5)
 
     q = command("fig2", _cmd_fig2,
@@ -210,7 +210,7 @@ def _cmd_fig1(args):
     if not np.isfinite([args.x_min, args.x_max]).all():  # linspace would warn
         raise ValueError(f"x range must be finite, got {args.x_min} to {args.x_max}")
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    curve = diagnostics.tail_ratio_curve(d, xs, args.factor)
+    curve = diagnostics.tail_ratio_curve(d.survival, xs, args.factor)
     rows = [{"x": x, "ratio": r} for x, r in curve]
     defined = [r for _, r in curve if r is not None]
     prov = [
@@ -349,7 +349,7 @@ def run(argv=None) -> int:
     except (IntegrationError, FitError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # a size option too large to allocate
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # a numeric failure no layer anticipated

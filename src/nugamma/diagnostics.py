@@ -29,8 +29,8 @@ KS_CRITICAL_1PCT = 1.6276236115189504
 # Hill applied to the positive tail with k rules computed from the full
 # sample size reproduces the reference simulation means for symmetrized
 # gamma(10) data, (0.37, 0.65, 1.39); the |values| variant sits well
-# below them at the two larger k rules, so "positive" is the default for
-# experiments and reports.
+# below them at the two larger k rules, so "positive" is the default of
+# the estimator, the experiment and the report alike.
 DEFAULT_HILL_TAIL = "positive"
 HILL_TAILS = ("positive", "abs")
 
@@ -207,7 +207,7 @@ def read_return_series(path, column=None, *, strict: bool = False) -> tuple[Retu
 # ----------------------------------------------------------------------
 
 def ks_distance(sample, cdf) -> float:
-    """Exact sup distance between the sample ECDF and a vectorized CDF."""
+    """Exact sup distance between the sample ECDF and a CDF that works elementwise."""
     s = np.sort(np.asarray(sample, dtype=float))
     n = len(s)
     F = np.asarray(cdf(s), dtype=float)
@@ -236,12 +236,12 @@ def _hill_values(sample, tail: str) -> np.ndarray:
     return np.abs(x) if _check_tail(tail) == "abs" else x[x > 0.0]
 
 
-def hill_estimate(sample, k: int, *, tail: str = "abs") -> float:
+def hill_estimate(sample, k: int, *, tail: str = DEFAULT_HILL_TAIL) -> float:
     """Mean log-spacing of the top k order statistics.
 
     gamma_hat = (1/k) sum_{i=1..k} ln(X_(n-i+1) / X_(n-k)) over the order
-    statistics of the absolute (or positive-side) values.  The raw
-    log-spacing mean is returned, not its reciprocal; ties at X_(n-k)
+    statistics of the positive (tail="positive") or absolute ("abs") values.
+    The raw log-spacing mean is returned, not its reciprocal; ties at X_(n-k)
     contribute zero spacings.  Scale-invariant by construction.
     """
     vals = _hill_values(sample, tail)
@@ -276,7 +276,7 @@ class HillExperimentResult:
     per_sim: np.ndarray  # shape (sims, len(HILL_RULES))
 
 
-def hill_experiment(m: float = 10.0, n: int = 10000, *, sims: int = 100, seed: int = 0,
+def hill_experiment(m: float, n: int, *, sims: int, seed: int,
                     workers: int = 1, tail: str = DEFAULT_HILL_TAIL) -> HillExperimentResult:
     """Across-simulation mean of the Hill estimate for each rule of HILL_RULES.
 
@@ -363,26 +363,24 @@ def exceedance_counts(sample, k_sigmas_list) -> list[ExceedanceRow]:
 _ANALYTIC_FLOOR = 1e-300
 
 
-def tail_ratio_curve(dist_or_sample, x_grid, factor: float = 1.5) -> list[tuple[float, float | None]]:
+def tail_ratio_curve(survival_or_sample, x_grid,
+                     factor: float = 1.5) -> list[tuple[float, float | None]]:
     """Points (x, P{X > x} / P{X > factor x}); None marks undefined points.
 
-    Accepts an object with an elementwise ``survival`` method, a bare
-    scalar survival callable, or a sample array (strict empirical
-    survival #{v > x}/n); each side of the ratio is one call on the grid.
-    A point is undefined when the denominator is 0 (empirical) or below
-    the analytic floor.
+    Accepts a survival callable that works elementwise over an array,
+    such as ``SymmetrizedGamma(m).survival``, or a sample array (strict
+    empirical survival #{v > x}/n); each side of the ratio is one call on
+    the grid.  A point is undefined when the denominator is 0 (empirical)
+    or below the analytic floor.
     """
     _check_factor(factor)
     xs = np.asarray(x_grid, dtype=float)
     if len(xs) == 0 or not np.all((xs > 0) & (xs < np.inf)) or np.any(np.diff(xs) <= 0):
         raise ValueError("x_grid must be finite, increasing and positive")
 
-    if hasattr(dist_or_sample, "survival"):
-        surv = dist_or_sample.survival
-    elif callable(dist_or_sample):
-        surv = np.vectorize(dist_or_sample, otypes=[float])
-    else:
-        data = np.sort(np.asarray(dist_or_sample, dtype=float))
+    surv = survival_or_sample
+    if not callable(surv):
+        data = np.sort(np.asarray(survival_or_sample, dtype=float))
         n = len(data)
 
         def surv(x: np.ndarray) -> np.ndarray:

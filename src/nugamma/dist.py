@@ -367,7 +367,7 @@ class SymmetrizedGamma:
         """F(x) = 1 - P{X > x}, elementwise over x; absolute accuracy ~1e-9."""
         return 1.0 - self.survival(x)
 
-    def two_sided_exceed(self, k_sigmas: float, *, unit: str = "sigma") -> float:
+    def two_sided_exceed(self, k_sigmas: float, *, unit: str) -> float:
         """P{|X| > threshold} for a deviation level of k 'sigmas'.
 
         unit="sigma" uses the true standard deviation, threshold
@@ -375,7 +375,7 @@ class SymmetrizedGamma:
         level is measured in units of the variance; this is the
         convention under which the reference deviation table was
         computed (its printed values correspond to threshold 2k, not
-        k * sqrt(2)).
+        k * sqrt(2)).  No default: the two units give different numbers.
         """
         if not k_sigmas > 0:
             raise ValueError("k_sigmas must be positive")

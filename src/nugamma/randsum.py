@@ -227,11 +227,11 @@ def _prelimit_chunk(rng: np.random.Generator, k: int, m_eff: float, factor: floa
     return SymmetrizedGamma(m_eff).sample(rng, k) * factor
 
 
-def evaluation_grid(draws: np.ndarray, points: int = ECDF_GRID_POINTS) -> np.ndarray:
-    """Equally spaced grid spanning the central 99.9% of the draws."""
+def evaluation_grid(draws: np.ndarray) -> np.ndarray:
+    """ECDF_GRID_POINTS equally spaced points over the central 99.9% of the draws."""
     tail = 0.5 * (1.0 - ECDF_CENTRAL_SPAN)
     lo, hi = np.quantile(draws, [tail, 1.0 - tail])
-    return np.linspace(lo, hi, points)
+    return np.linspace(lo, hi, ECDF_GRID_POINTS)
 
 
 def ecdf_values(draws: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -276,15 +276,14 @@ class EcdfStableFit:
 
 
 def fit_stable_to_ecdf(grid: np.ndarray, ecdf: np.ndarray,
-                       start: tuple[float, float] | None = None) -> EcdfStableFit:
+                       start: tuple[float, float]) -> EcdfStableFit:
     """Least-squares symmetric-stable CDF fit to an empirical CDF table.
 
-    Deterministic bounded Nelder-Mead over (alpha, lambda); the reported
-    ks is the sup distance between the table and the fitted CDF ``cdf`` on
-    the same grid.  Raises FitError when Nelder-Mead does not converge.
+    Deterministic bounded Nelder-Mead over (alpha, lambda) from ``start``
+    (``fig2`` takes (1.9, var/2) of its sums); the reported ks is the sup
+    distance between the table and the fitted CDF ``cdf`` on the same
+    grid.  Raises FitError when Nelder-Mead does not converge.
     """
-    if start is None:
-        start = (1.9, 0.5)
     a0 = min(max(start[0], 0.81), 1.99)
     l0 = min(max(start[1], 2e-3), 49.0)
 

@@ -254,7 +254,7 @@ def read_return_series_two_pass(path, column=None, *, strict=False, label=None):
     return ReturnSeries(np.array(values), label=name, source=str(path)), skipped
 
 
-def hill_estimate_full_sort(sample, k, tail="abs"):
+def hill_estimate_full_sort(sample, k, tail="positive"):
     """Mean log-spacing of the top k order statistics, from a full sort."""
     x = np.asarray(sample, dtype=float)
     vals = np.abs(x) if tail == "abs" else x[x > 0.0]

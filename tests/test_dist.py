@@ -63,7 +63,8 @@ class TestSymmetrizedGammaCF:
             assert 0.0 < SymmetrizedGamma(m).survival(0.5) < 0.5
         for m in (1e-3 * (1.0 - 1e-11), 1e-5, 1e4 * (1.0 + 1e-11), 1e-300):
             d = SymmetrizedGamma(m)
-            for view in (d.pdf, d.survival, d.cdf, d.two_sided_exceed):
+            for view in (d.pdf, d.survival, d.cdf,
+                         lambda k: d.two_sided_exceed(k, unit="sigma")):
                 with pytest.raises(OutOfRegimeError, match="tested domain"):
                     view(0.5)
             # sampling, the CF and the moments stay open
@@ -315,7 +316,7 @@ class TestSymmetrizedGammaCdf:
 class TestExceedProbabilities:
     def test_true_sigma_values(self):
         for m, expect in oracles.SG_EXCEED_TRUE_SIGMA.items():
-            got = SymmetrizedGamma(float(m)).two_sided_exceed(10.0)
+            got = SymmetrizedGamma(float(m)).two_sided_exceed(10.0, unit="sigma")
             assert got == pytest.approx(expect, rel=1e-8)
 
     def test_reference_table_convention(self):
@@ -338,13 +339,14 @@ class TestExceedProbabilities:
         # approaches 1 only where the density is bounded near 0 (small m);
         # at larger m the near-zero mass concentration keeps it visibly
         # below 1 (m=5 value frozen from the mixture-form oracle)
-        assert SymmetrizedGamma(1.0).two_sided_exceed(1e-4) == pytest.approx(1.0, abs=2e-4)
-        assert SymmetrizedGamma(5.0).two_sided_exceed(1e-4) == pytest.approx(
+        assert SymmetrizedGamma(1.0).two_sided_exceed(1e-4, unit="sigma") == pytest.approx(
+            1.0, abs=2e-4)
+        assert SymmetrizedGamma(5.0).two_sided_exceed(1e-4, unit="sigma") == pytest.approx(
             0.9708995322142528, rel=1e-10)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            SymmetrizedGamma(5.0).two_sided_exceed(-1.0)
+            SymmetrizedGamma(5.0).two_sided_exceed(-1.0, unit="sigma")
         with pytest.raises(ValueError):
             SymmetrizedGamma(5.0).two_sided_exceed(1.0, unit="nope")
 

@@ -10,6 +10,7 @@ from nugamma.dist import SymmetricStable, SymmetrizedGamma
 from nugamma.errors import FitError, OutOfRegimeError
 from nugamma.parallel import CHUNK, child_rng
 from nugamma.randsum import (
+    ECDF_GRID_POINTS,
     Component,
     NuFamily,
     RandomSumConfig,
@@ -303,11 +304,11 @@ class TestEcdfStableFit:
         monkeypatch.setattr(randsum, "minimize", stalled_minimize)
         grid = np.linspace(-6.0, 6.0, 64)
         with pytest.raises(FitError, match="did not converge"):
-            fit_stable_to_ecdf(grid, SymmetricStable(1.5, 0.8).cdf_grid(grid))
+            fit_stable_to_ecdf(grid, SymmetricStable(1.5, 0.8).cdf_grid(grid), (1.9, 0.5))
 
     def test_ecdf_helpers(self):
         draws = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        grid = evaluation_grid(draws, points=16)
-        assert grid[0] >= 1.0 - 1e-9 and grid[-1] <= 5.0 + 1e-9
+        grid = evaluation_grid(draws)
+        assert len(grid) == ECDF_GRID_POINTS and grid[0] >= 1.0 - 1e-9 and grid[-1] <= 5.0 + 1e-9
         vals = ecdf_values(draws, np.array([0.0, 2.5, 10.0]))
         np.testing.assert_allclose(vals, [0.0, 0.4, 1.0])

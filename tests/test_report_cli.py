@@ -169,6 +169,25 @@ class TestExitCodes:
         assert run(["hill", "--sims", "0"]) == 1
         assert run(["bounds", "--workers", "0"]) == 1
         assert run(["bounds", "--format", "yaml"]) == 1
+        # these once failed in tail_ratio_curve's grid check and in numpy
+        assert run(["fig1", "--points", "0"]) == 1
+        assert run(["fig1", "--points", "-3"]) == 1
+        assert capsys.readouterr().err.splitlines()[-2:] == [
+            "usage error: argument --points: must be >= 1, got 0",
+            "usage error: argument --points: must be >= 1, got -3"]
+
+    # 1e17 float64 values are 711 PiB, beyond any address space, so the
+    # allocation is refused before a page is touched
+    @pytest.mark.parametrize("args", [["table3", "--grid-size", "100000000000000000"],
+                                      ["fig1", "--points", "100000000000000000"],
+                                      ["hill", "--n", "100000000000000000", "--sims", "1"]],
+                             ids=" ".join)
+    def test_unallocatable_size_is_usage_error(self, args):
+        # these printed numpy's MemoryError traceback
+        out = _cli_subprocess(args)
+        assert out.returncode == 1
+        assert out.stderr.startswith("usage error: Unable to allocate ")
+        assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("args", [
         ["table1", "--m-list", ","], ["bounds", "--d-list", ","], ["table3", "--n-list", ","],
