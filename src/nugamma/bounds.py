@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import OutOfRegimeError
 
 
@@ -61,6 +59,8 @@ class GaussExtremalMixture:
 
     def sample(self, rng: np.random.Generator, n: int):
         """n draws; one uniform decides the branch, one the rectangle position."""
+        import numpy as np  # here alone: the bounds themselves are arithmetic
+
         if n < 1:
             raise ValueError("n must be >= 1")
         lo, hi = self.rect_support

@@ -6,20 +6,19 @@ byte-identical payloads regardless of ``--workers``.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
 non-convergence.
+
+Each handler imports the modules it runs, and ``run`` imports the
+renderers once a handler has returned: building the parser loads no
+numpy, and ``bounds`` runs without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 
-import numpy as np
-
-from . import bounds as bounds_mod
-from . import cffit, diagnostics, randsum, report
-from .dist import SymmetrizedGamma
-from .errors import DataError, FitError, IntegrationError
+from .conventions import DEFAULT_HILL_TAIL, DEFAULT_SEED, HILL_TAILS
+from .errors import DataError, FitError, IntegrationError, OutOfRegimeError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,7 +61,7 @@ def _count(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=report.DEFAULT_SEED,
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="master seed (default 0x5EED)")
     common.add_argument("--workers", type=_count, default=1,
                         help="worker processes for Monte Carlo commands")
@@ -115,9 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = command("hill", _cmd_hill,
                 "mean Hill estimate for k = sqrt(n), n^(2/3), n^(4/5)")
     q.add_argument("--m", type=float, default=10.0)
-    q.add_argument("--n", type=int, default=10000)
+    q.add_argument("--n", type=_count, default=10000)
     q.add_argument("--sims", type=_count, default=100)
-    q.add_argument("--tail", choices=diagnostics.HILL_TAILS, default=diagnostics.DEFAULT_HILL_TAIL)
+    q.add_argument("--tail", choices=HILL_TAILS, default=DEFAULT_HILL_TAIL)
 
     q = command("bounds", _cmd_bounds,
                 "unimodal and Chebyshev deviation bounds with expected counts")
@@ -132,8 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--strict", action="store_true", help="abort on unparseable rows")
     q.add_argument("--levels", type=_float_list, default=[3.0, 5.0, 10.0])
     q.add_argument("--factor", type=float, default=1.5)
-    q.add_argument("--hill-tail", choices=diagnostics.HILL_TAILS,
-                   default=diagnostics.DEFAULT_HILL_TAIL)
+    q.add_argument("--hill-tail", choices=HILL_TAILS, default=DEFAULT_HILL_TAIL)
 
     q = command("randsum", _cmd_randsum,
                 "random-sum convergence: KS distance to the limit law per p")
@@ -152,6 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 def _cmd_table1(args):
+    from .dist import SymmetrizedGamma
+
     unit = "sigma" if args.strict_sigma else "sigma_squared"
     rows = [{"m": m, "probability": SymmetrizedGamma(m).two_sided_exceed(args.k_sigmas, unit=unit)}
             for m in args.m_list]
@@ -169,6 +169,8 @@ def _cmd_table1(args):
 def _fit_rows(m, n_list, window, method):
     """One fit row per n; a row whose fit raises FitError is blank with the
     message under "error".  Raises FitError when every row failed."""
+    from . import cffit
+
     rows = []
     for n in n_list:
         try:
@@ -190,6 +192,8 @@ _TABLE3_METHODS = {"ls-cf": ["ls-cf"], "loglog": ["loglog-regression"],
 
 
 def _cmd_table3(args):
+    from . import cffit
+
     window = cffit.FitWindow(args.delta, args.Delta, args.grid_size)
     prov = [
         f"window ({args.delta:g}, {args.Delta:g}), {args.grid_size} grid points",
@@ -206,11 +210,16 @@ def _cmd_table3(args):
 
 
 def _cmd_fig1(args):
+    import numpy as np
+
+    from .diagnostics import tail_ratio_curve
+    from .dist import SymmetrizedGamma
+
     d = SymmetrizedGamma(args.m)
     if not np.isfinite([args.x_min, args.x_max]).all():  # linspace would warn
         raise ValueError(f"x range must be finite, got {args.x_min} to {args.x_max}")
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    curve = diagnostics.tail_ratio_curve(d.survival, xs, args.factor)
+    curve = tail_ratio_curve(d.survival, xs, args.factor)
     rows = [{"x": x, "ratio": r} for x, r in curve]
     defined = [r for _, r in curve if r is not None]
     prov = [
@@ -224,6 +233,8 @@ def _cmd_fig1(args):
 
 
 def _cmd_fig2(args):
+    from . import randsum
+
     res = randsum.prelimit_experiment(args.m, args.n, args.replicates, args.exponent, args.seed)
     start = (1.9, float(res.sums.var()) / 2.0)
     fit = randsum.fit_stable_to_ecdf(res.grid, res.ecdf, start)
@@ -244,6 +255,8 @@ def _cmd_fig2(args):
 
 
 def _cmd_hill(args):
+    from . import diagnostics
+
     res = diagnostics.hill_experiment(args.m, args.n, sims=args.sims, seed=args.seed,
                                       workers=args.workers, tail=args.tail)
     rows = [
@@ -261,18 +274,20 @@ def _cmd_hill(args):
 
 
 def _cmd_bounds(args):
+    from . import bounds
+
     rows = []
     for d in args.d_list:
         try:
-            g = bounds_mod.gauss_bound(d, args.sigma)
+            g = bounds.gauss_bound(d, args.sigma)
             rows.append({"d": d, "kind": g.kind, "bound": g.bound,
-                         "expected_exceedances": bounds_mod.expected_exceedances(args.n, g)})
-        except bounds_mod.OutOfRegimeError as exc:
+                         "expected_exceedances": bounds.expected_exceedances(args.n, g)})
+        except OutOfRegimeError as exc:
             rows.append({"d": d, "kind": "gauss-unimodal", "bound": None,
                          "expected_exceedances": None, "error": str(exc)})
-        c = bounds_mod.chebyshev_bound(d, args.sigma)
+        c = bounds.chebyshev_bound(d, args.sigma)
         rows.append({"d": d, "kind": c.kind, "bound": c.bound,
-                     "expected_exceedances": bounds_mod.expected_exceedances(args.n, c)})
+                     "expected_exceedances": bounds.expected_exceedances(args.n, c)})
     prov = [
         f"two-sided deviation bounds at sigma={args.sigma:g}, expected counts for n={args.n}",
         "gauss-unimodal bound 4 sigma^2/(9 d^2) is sharp (atom plus rectangle attains it); "
@@ -284,6 +299,10 @@ def _cmd_bounds(args):
 
 
 def _cmd_audit(args):
+    from dataclasses import asdict
+
+    from . import diagnostics
+
     # a bad option fails before the file is read
     levels = [diagnostics._check_level(k) for k in args.levels]
     diagnostics._check_factor(args.factor)
@@ -311,11 +330,14 @@ def _cmd_audit(args):
 
 
 def _cmd_randsum(args):
+    from . import randsum
+    from .diagnostics import ks_critical_value
+
     comp = (randsum.Component.uniform_var2() if args.component == "uniform"
             else randsum.Component.symmetrized_gamma(args.m))
     rows_raw = randsum.theorem1_experiment(args.m, comp, args.p_schedule,
                                            args.replicates, args.seed, args.workers)
-    crit = diagnostics.ks_critical_value(args.replicates)
+    crit = ks_critical_value(args.replicates)
     rows = [{"p": p, "ks_distance": ks, "ks_critical_1pct": crit} for p, ks in rows_raw]
     prov = [
         f"{args.replicates} normalized random sums p^(1/2)*sum of {args.component} "
@@ -355,6 +377,8 @@ def run(argv=None) -> int:
     except ArithmeticError as exc:  # a numeric failure no layer anticipated
         print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+
+    from . import report
 
     doc = report.make_document(args.command, _config_echo(args), payload, provenance)
     text = report.render(doc, args.format)

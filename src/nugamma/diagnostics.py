@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import expected_exceedances, gauss_bound
+from .conventions import DEFAULT_HILL_TAIL, HILL_TAILS
 from .dist import SymmetrizedGamma
 from .errors import DataError, OutOfRegimeError
 from .parallel import child_rng, run_tasks
@@ -25,14 +27,6 @@ HILL_RULES = {"sqrt": 0.5, "pow-2/3": 2.0 / 3.0, "pow-4/5": 0.8}
 RATIO_QUANTILES = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98)
 # the Kolmogorov distribution's upper 1% point, scipy.special.kolmogi(0.01)
 KS_CRITICAL_1PCT = 1.6276236115189504
-
-# Hill applied to the positive tail with k rules computed from the full
-# sample size reproduces the reference simulation means for symmetrized
-# gamma(10) data, (0.37, 0.65, 1.39); the |values| variant sits well
-# below them at the two larger k rules, so "positive" is the default of
-# the estimator, the experiment and the report alike.
-DEFAULT_HILL_TAIL = "positive"
-HILL_TAILS = ("positive", "abs")
 
 
 # ----------------------------------------------------------------------
@@ -244,6 +238,10 @@ def hill_estimate(sample, k: int, *, tail: str = DEFAULT_HILL_TAIL) -> float:
     The raw log-spacing mean is returned, not its reciprocal; ties at X_(n-k)
     contribute zero spacings.  Scale-invariant by construction.
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
     vals = _hill_values(sample, tail)
     n = len(vals)
     if not 1 <= k < n:
@@ -260,6 +258,8 @@ def hill_k(rule: str, n: int) -> int:
     """k = floor(n^e) for the exponent e of a rule of HILL_RULES."""
     if rule not in HILL_RULES:
         raise ValueError(f"unknown Hill k rule {rule!r}")
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     return int(math.floor(n ** HILL_RULES[rule] + 1e-9))  # guard against 15.999999... artifacts
 
 

@@ -14,19 +14,16 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-import numpy as np
-
-DEFAULT_SEED = 0x5EED  # echoed in every report; reproducibility by default
+from .conventions import DEFAULT_SEED  # noqa: F401  (re-exported)
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
 def _plain(value):
-    """Convert numpy scalars/arrays to plain python types for serialization."""
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value]
+    """Plain python types for serialization: numpy scalars and arrays via
+    ``tolist()``, found by their type's module so that numpy is not imported."""
+    if type(value).__module__ == "numpy":
+        value = value.tolist()
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

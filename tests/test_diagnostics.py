@@ -79,6 +79,9 @@ class TestHillEstimate:
             hill_estimate(sample, 0)
         with pytest.raises(ValueError):
             hill_estimate(sample, 10)
+        # a fractional k was numpy's TypeError from the partition
+        with pytest.raises(ValueError, match="k must be an integer, got 1.5"):
+            hill_estimate(sample, 1.5)
 
     def test_k_range_error_counts_tail_values(self):
         # the bound is the number of values in the chosen tail, not the sample size
@@ -127,6 +130,12 @@ class TestHillK:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             hill_k("cube", 100)
+
+    @pytest.mark.parametrize("n", [0, -5, math.nan])
+    def test_n_below_one(self, n):
+        # -5 was a TypeError from the fractional power of a negative number
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            hill_k("sqrt", n)
 
 
 class TestHillExperiment:

@@ -97,6 +97,28 @@ class TestRenderers:
         doc = make_document("demo", {}, [{"v": float("inf")}], [])
         assert json.loads(render_json(doc))["payload"][0]["v"] is None
 
+    @pytest.mark.parametrize("value, json_text, csv_cell", [
+        (np.float64(0.1), "0.1", "0.1"),
+        (np.float32(0.1), "0.10000000149011612", "0.10000000149011612"),
+        (np.int64(-7), "-7", "-7"),
+        (np.bool_(True), "true", "true"),
+        (np.array(2.5), "2.5", "2.5"),
+        (np.array([[1.0, 2.5], [3.0, 4.0]]), "[[1.0, 2.5], [3.0, 4.0]]",
+         '"[[1.0, 2.5], [3.0, 4.0]]"'),
+        (np.float64("nan"), "null", ""),
+        (np.float64("-inf"), "null", ""),
+        (np.array([[np.nan, 1.0], [np.inf, 2.0]]), "[[null, 1.0], [null, 2.0]]",
+         '"[[None, 1.0], [None, 2.0]]"'),
+    ], ids=["float64", "float32", "int64", "bool_", "0-d", "2-d", "nan", "-inf", "2-d-nonfinite"])
+    def test_numpy_values_become_plain(self, value, json_text, csv_cell):
+        # the finite cases give the text they gave when report imported numpy;
+        # a numpy bool_ and a 0-d array then failed to serialize, and numpy
+        # nan and inf reached the JSON document as NaN and the CSV as nan
+        doc = make_document("demo", {}, [{"v": value}], [])
+        assert json.dumps(doc.payload, allow_nan=False) == f'[{{"v": {json_text}}}]'
+        assert doc.payload_bytes() == f'[{{"v": {json_text}}}]'.encode()
+        assert render_csv(doc).splitlines()[-1] == csv_cell
+
     def test_svg_chart_structure(self):
         svg = svg_line_chart([("a", [0.0, 1.0, 2.0], [0.0, 1.0, 4.0])],
                              "title", "x", "y")
@@ -169,12 +191,18 @@ class TestExitCodes:
         assert run(["hill", "--sims", "0"]) == 1
         assert run(["bounds", "--workers", "0"]) == 1
         assert run(["bounds", "--format", "yaml"]) == 1
-        # these once failed in tail_ratio_curve's grid check and in numpy
+        capsys.readouterr()
+        # these once failed in tail_ratio_curve's grid check and in numpy,
+        # and hill --n -5 in hill_k with a TypeError traceback
         assert run(["fig1", "--points", "0"]) == 1
         assert run(["fig1", "--points", "-3"]) == 1
-        assert capsys.readouterr().err.splitlines()[-2:] == [
+        assert run(["hill", "--n", "0"]) == 1
+        assert run(["hill", "--n", "-5"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
             "usage error: argument --points: must be >= 1, got 0",
-            "usage error: argument --points: must be >= 1, got -3"]
+            "usage error: argument --points: must be >= 1, got -3",
+            "usage error: argument --n: must be >= 1, got 0",
+            "usage error: argument --n: must be >= 1, got -5"]
 
     # 1e17 float64 values are 711 PiB, beyond any address space, so the
     # allocation is refused before a page is touched
@@ -330,24 +358,29 @@ class TestExitCodes:
     def test_unconverged_fit_is_numeric(self, monkeypatch, capsys, stalled_minimize):
         monkeypatch.setattr(randsum, "minimize", stalled_minimize)
         assert run(["fig2", "--reps", "30", "--n", "200"]) == 3
-        monkeypatch.setattr(cli.cffit, "minimize", stalled_minimize)
+        monkeypatch.setattr(cffit, "minimize", stalled_minimize)
         assert run(["table3", "--n-list", "1,10"]) == 3
         assert "did not converge" in capsys.readouterr().err
 
-    def test_import_loads_the_same_modules(self):
-        # beyond numpy, only these standard-library packages: import time is
-        # setup time; the pool machinery loads only when a pool starts
+    def test_cold_start_loads_only_what_the_command_runs(self, tmp_path):
+        # import time is setup time: the parser needs no numpy and no module
+        # of the package beyond its defaults, bounds is arithmetic, and the
+        # pool machinery loads only when a pool starts
         src = os.path.dirname(os.path.dirname(nugamma.__file__))
-        code = ("import sys, numpy; tops = lambda: {m.split('.')[0] for m in sys.modules}; "
-                "before = tops(); import nugamma.cli; print(sorted(tops() - before)); "
-                "print(sorted(m for m in sys.modules if m in "
-                "('concurrent.futures.process', 'multiprocessing')))")
+        code = ("import sys; from nugamma.cli import run\n"
+                "def loaded():\n"
+                "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'nugamma'),\n"
+                "          [m for m in ('numpy', 'multiprocessing', 'concurrent.futures.process')\n"
+                "           if m in sys.modules])\n"
+                "loaded(); run(['bounds', '--out', 'bounds.txt']); loaded()")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+                             env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60,
+                             cwd=tmp_path)
         assert out.stdout.splitlines() == [
-            str(["__future__", "_csv", "_json", "argparse", "array", "copy", "csv",
-                 "dataclasses", "gettext", "json", "nugamma"]),
-            "[]"]
+            str(["nugamma", "nugamma.cli", "nugamma.conventions", "nugamma.errors"]) + " []",
+            str(["nugamma", "nugamma.bounds", "nugamma.cli", "nugamma.conventions",
+                 "nugamma.errors", "nugamma.report"]) + " []"]
+        assert (tmp_path / "bounds.txt").read_text().startswith("bounds\n")
 
     def test_no_command_loads_scipy(self, tmp_path):
         # the density's Bessel factor and the tables' tails are the package's
