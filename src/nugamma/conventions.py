@@ -1,7 +1,7 @@
 """Defaults the command line's parser shares with the library.
 
 This module imports nothing, so building the parser loads no numpy;
-``report`` and ``diagnostics`` re-export these names.
+``diagnostics`` re-exports the Hill tail names.
 """
 
 DEFAULT_SEED = 0x5EED  # echoed in every report; reproducibility by default

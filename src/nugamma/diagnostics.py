@@ -201,9 +201,12 @@ def read_return_series(path, column=None, *, strict: bool = False) -> tuple[Retu
 # ----------------------------------------------------------------------
 
 def ks_distance(sample, cdf) -> float:
-    """Exact sup distance between the sample ECDF and a CDF that works elementwise."""
+    """Exact sup distance between the sample ECDF and a CDF that works
+    elementwise; an empty or non-finite sample raises DataError."""
     s = np.sort(np.asarray(sample, dtype=float))
     n = len(s)
+    if not (n and np.isfinite(s).all()):
+        raise DataError("a KS sample needs at least one value, all finite")
     F = np.asarray(cdf(s), dtype=float)
     up = np.max(np.arange(1, n + 1) / n - F)
     down = np.max(F - np.arange(0, n) / n)

@@ -35,7 +35,7 @@ import numpy as np
 from .cffit import minimize
 from .diagnostics import ks_distance
 from .dist import SymmetricStable, SymmetrizedGamma
-from .errors import FitError, OutOfRegimeError
+from .errors import DataError, FitError, OutOfRegimeError
 from .parallel import chunked_draws
 
 ECDF_GRID_POINTS = 512
@@ -275,26 +275,36 @@ class EcdfStableFit:
     cdf: np.ndarray  # the fitted CDF on the grid of the fit
 
 
-def fit_stable_to_ecdf(grid: np.ndarray, ecdf: np.ndarray,
-                       start: tuple[float, float]) -> EcdfStableFit:
+def fit_stable_to_ecdf(grid: np.ndarray, ecdf: np.ndarray) -> EcdfStableFit:
     """Least-squares symmetric-stable CDF fit to an empirical CDF table.
 
-    Deterministic bounded Nelder-Mead over (alpha, lambda) from ``start``
-    (``fig2`` takes (1.9, var/2) of its sums); the reported ks is the sup
-    distance between the table and the fitted CDF ``cdf`` on the same
-    grid.  Raises FitError when Nelder-Mead does not converge.
+    Scale-free: the grid is divided by the table's interpolated
+    interquartile spread s, a deterministic bounded Nelder-Mead fits
+    (alpha, lambda') there from (1.9, 0.3), and lambda = lambda' s^alpha.
+    ks is the sup distance between the table and the fitted CDF ``cdf``
+    on the same grid.  Raises DataError for a table it cannot scale and
+    FitError when Nelder-Mead does not converge.
     """
-    a0 = min(max(start[0], 0.81), 1.99)
-    l0 = min(max(start[1], 2e-3), 49.0)
+    grid, ecdf = np.asarray(grid, dtype=float), np.asarray(ecdf, dtype=float)
+    if grid.ndim != 1 or grid.shape != ecdf.shape or len(grid) < 2 \
+            or not np.isfinite([grid, ecdf]).all():
+        raise DataError("grid and ecdf must be finite 1-d tables of one length, "
+                        "at least two rows")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        s = float(np.interp(0.75, ecdf, grid) - np.interp(0.25, ecdf, grid))
+    # s * s bounds s ** alpha over the box, so lambda = lambda' s^alpha stays a double
+    if not (ecdf[0] <= 0.25 and ecdf[-1] >= 0.75 and 0.0 < s * s < math.inf):
+        raise DataError(f"the table has no interquartile spread to scale by (got {s:g})")
+    unit_grid = grid / s
 
     def objective(p) -> float:
-        model = SymmetricStable(alpha=float(p[0]), lam=float(p[1])).cdf_grid(grid)
+        model = SymmetricStable(alpha=float(p[0]), lam=float(p[1])).cdf_grid(unit_grid)
         return float(np.sum((ecdf - model) ** 2))
 
-    res = minimize(objective, (a0, l0), bounds=[(0.8, 2.0), (1e-3, 50.0)])
+    res = minimize(objective, (1.9, 0.3), bounds=[(0.8, 2.0), (1e-3, 50.0)])
     if not res.success:
         raise FitError(f"Nelder-Mead did not converge: {res.message}")
-    alpha, lam = float(res.x[0]), float(res.x[1])
+    alpha, lam = float(res.x[0]), float(res.x[1]) * s ** float(res.x[0])
     model = SymmetricStable(alpha=alpha, lam=lam).cdf_grid(grid)
     return EcdfStableFit(alpha=alpha, lam=lam, residual=float(res.fun),
                          ks=float(np.max(np.abs(ecdf - model))), cdf=model)

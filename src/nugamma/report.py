@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .conventions import DEFAULT_SEED  # noqa: F401  (re-exported)
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 

@@ -177,7 +177,7 @@ def test_criterion_08_theorem1_convergence():
 
 def test_criterion_09_prelimit_stable_window():
     res = prelimit_experiment(100, 10000, 1000, 1.83, SEED)
-    fit = fit_stable_to_ecdf(res.grid, res.ecdf, (1.9, float(res.sums.var()) / 2.0))
+    fit = fit_stable_to_ecdf(res.grid, res.ecdf)
     alpha_ok = 1.7 <= fit.alpha <= 1.9
     ks_ok = fit.ks <= 0.05
     # the alpha window cannot be met: the exact law of these normalized

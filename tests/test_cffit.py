@@ -219,4 +219,4 @@ class TestMinimize:
             fit_stable_to_cf(20.0, 10, FitWindow(0.005, 0.5, 256))
         grid = np.linspace(-6.0, 6.0, 64)
         with pytest.raises(FitError, match="Maximum number of iterations"):
-            fit_stable_to_ecdf(grid, SymmetricStable(1.5, 0.8).cdf_grid(grid), (1.9, 0.5))
+            fit_stable_to_ecdf(grid, SymmetricStable(1.5, 0.8).cdf_grid(grid))

@@ -316,6 +316,12 @@ class TestKolmogorovSmirnov:
         d = ks_distance(sample, lambda x: np.asarray(x))
         assert d == pytest.approx(0.6, rel=1e-12)
 
+    @pytest.mark.parametrize("sample", [[], [np.nan], [0.1, np.inf], [-np.inf, 0.2, 0.3]],
+                             ids=["empty", "nan", "inf", "-inf"])
+    def test_empty_or_non_finite_sample_raises(self, sample):
+        with pytest.raises(DataError, match="at least one value, all finite"):
+            ks_distance(sample, lambda x: np.asarray(x))
+
     def test_critical_value(self):
         assert ks_critical_value(10 ** 6) == pytest.approx(1.6276 / 1000.0, rel=1e-3)
 

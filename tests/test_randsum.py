@@ -7,7 +7,7 @@ from scipy.stats import ks_2samp
 from nugamma import dist, randsum
 from nugamma.diagnostics import ks_critical_value, ks_distance
 from nugamma.dist import SymmetricStable, SymmetrizedGamma
-from nugamma.errors import FitError, OutOfRegimeError
+from nugamma.errors import DataError, FitError, OutOfRegimeError
 from nugamma.parallel import CHUNK, child_rng
 from nugamma.randsum import (
     ECDF_GRID_POINTS,
@@ -292,7 +292,7 @@ class TestEcdfStableFit:
         target = SymmetricStable(1.5, 0.8)
         grid = np.linspace(-6.0, 6.0, 512)
         vals = target.cdf_grid(grid)
-        fit = fit_stable_to_ecdf(grid, vals, start=(1.8, 0.5))
+        fit = fit_stable_to_ecdf(grid, vals)
         assert fit.alpha == pytest.approx(1.5, abs=5e-3)
         assert fit.lam == pytest.approx(0.8, abs=5e-3)
         assert fit.ks < 1e-3
@@ -304,7 +304,46 @@ class TestEcdfStableFit:
         monkeypatch.setattr(randsum, "minimize", stalled_minimize)
         grid = np.linspace(-6.0, 6.0, 64)
         with pytest.raises(FitError, match="did not converge"):
-            fit_stable_to_ecdf(grid, SymmetricStable(1.5, 0.8).cdf_grid(grid), (1.9, 0.5))
+            fit_stable_to_ecdf(grid, SymmetricStable(1.5, 0.8).cdf_grid(grid))
+
+    @pytest.mark.parametrize("seed", [SEED, 0, 1])
+    def test_alpha_does_not_depend_on_the_exponent(self, seed):
+        # fig2's sums differ between exponents only by the factor
+        # n^(1/exponent); every fourth grid point keeps the test fast
+        alphas = []
+        for exponent in (0.5, 1.0, 1.83, 2.0):
+            res = prelimit_experiment(100, 10000, 1000, exponent, seed)
+            alphas.append(fit_stable_to_ecdf(res.grid[::4], res.ecdf[::4]).alpha)
+        assert max(alphas) - min(alphas) < 1e-6
+        assert max(alphas) < 2.0  # an interior optimum, not the alpha = 2 face
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    def test_recovers_stable_samples(self, alpha, seed):
+        draws = oracles.stable_sample_cms(alpha, 0.8, np.random.default_rng(seed), 1000)
+        grid = evaluation_grid(draws)[::4]
+        fit = fit_stable_to_ecdf(grid, ecdf_values(draws, grid))
+        assert abs(fit.alpha - alpha) < 0.1
+        assert abs(fit.lam - 0.8) < 0.1
+
+    @pytest.mark.parametrize("grid, ecdf", [
+        (np.linspace(-1.0, 1.0, 8), np.linspace(0.0, 1.0, 7)),         # lengths differ
+        (np.linspace(-1.0, 1.0, 8).reshape(2, 4), np.zeros((2, 4))),  # not 1-d
+        (np.array([0.0]), np.array([0.5])),                           # one row
+        (np.array([0.0, np.nan, 1.0]), np.array([0.0, 0.5, 1.0])),    # non-finite grid
+        (np.array([0.0, 0.5, 1.0]), np.array([0.0, np.inf, 1.0])),    # non-finite ecdf
+        (np.linspace(-1.0, 1.0, 8), np.zeros(8)),                     # flat at 0
+        (np.linspace(-1.0, 1.0, 8), np.full(8, 0.5)),                 # quartiles off the table
+        (np.zeros(8), np.linspace(0.0, 1.0, 8)),                      # no spread
+        (np.array([-1e308, 1e308]), np.array([0.0, 1.0])),            # spread overflows
+        (np.array([-1e200, 1e200]), np.array([0.0, 1.0])),            # lambda would overflow
+        (np.array([-1e-200, 1e-200]), np.array([0.0, 1.0])),          # lambda would underflow
+    ], ids=["lengths", "2-d", "one-row", "nan-grid", "inf-ecdf", "flat", "off-table",
+            "no-spread", "overflow", "huge-spread", "tiny-spread"])
+    def test_refuses_a_table_it_cannot_scale(self, grid, ecdf, monkeypatch):
+        monkeypatch.setattr(randsum, "minimize", None)  # refused before any fit
+        with pytest.raises(DataError):
+            fit_stable_to_ecdf(grid, ecdf)
 
     def test_ecdf_helpers(self):
         draws = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
