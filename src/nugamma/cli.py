@@ -308,10 +308,10 @@ def _cmd_audit(args):
     diagnostics._check_factor(args.factor)
     series, skipped = diagnostics.read_return_series(args.input_path, args.column,
                                                      strict=args.strict)
-    if float(series.values.std()) == 0.0:
-        raise DataError("degenerate series: zero variance")
     rep = diagnostics.build_tail_report(series, levels=levels,
                                         hill_tail=args.hill_tail, ratio_factor=args.factor)
+    if rep.sigma == 0.0:
+        raise DataError("degenerate series: zero variance")
     payload = {
         "summary": [{"label": series.label, "n": rep.n, "mean": rep.mean,
                      "sigma": rep.sigma, "kurtosis": rep.kurtosis,

@@ -8,6 +8,7 @@ import csv
 import io
 import math
 import operator
+import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
@@ -193,7 +194,19 @@ def read_return_series(path, column=None, *, strict: bool = False) -> tuple[Retu
     if not values:
         raise DataError(f"column {idx} contains no numeric data")
     name = header[idx] if header and -len(header) <= idx < len(header) else f"col{idx}"
-    return ReturnSeries(np.array(values), label=name, source=str(path)), skipped
+    # a view of the filled array, not a copy: the column is held once
+    return ReturnSeries(np.frombuffer(values), label=name, source=str(path)), skipped
+
+
+def _finite_sample(sample, what: str) -> np.ndarray:
+    """sample as a 1-d float64 array, without a copy when it is one; a
+    sample that is not 1-d, is empty or holds a value that is not finite
+    raises DataError."""
+    x = np.asarray(sample, dtype=float)
+    # min and max propagate nan and keep an infinity, without an n-length temporary
+    if x.ndim != 1 or not len(x) or not math.isfinite(x.min()) or not math.isfinite(x.max()):
+        raise DataError(f"{what} needs a 1-d sample of at least one value, all finite")
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -202,11 +215,10 @@ def read_return_series(path, column=None, *, strict: bool = False) -> tuple[Retu
 
 def ks_distance(sample, cdf) -> float:
     """Exact sup distance between the sample ECDF and a CDF that works
-    elementwise; an empty or non-finite sample raises DataError."""
-    s = np.sort(np.asarray(sample, dtype=float))
+    elementwise; a sample that is not 1-d, is empty or is not finite
+    raises DataError."""
+    s = np.sort(_finite_sample(sample, "a KS distance"))
     n = len(s)
-    if not (n and np.isfinite(s).all()):
-        raise DataError("a KS sample needs at least one value, all finite")
     F = np.asarray(cdf(s), dtype=float)
     up = np.max(np.arange(1, n + 1) / n - F)
     down = np.max(F - np.arange(0, n) / n)
@@ -229,8 +241,10 @@ def _check_tail(tail: str) -> str:
 
 
 def _hill_values(sample, tail: str) -> np.ndarray:
-    x = np.asarray(sample, dtype=float)
-    return np.abs(x) if _check_tail(tail) == "abs" else x[x > 0.0]
+    """A fresh array of the tail's values: the caller may reorder it."""
+    _check_tail(tail)
+    x = _finite_sample(sample, "a Hill estimate")
+    return np.abs(x) if tail == "abs" else x[x > 0.0]
 
 
 def hill_estimate(sample, k: int, *, tail: str = DEFAULT_HILL_TAIL) -> float:
@@ -239,7 +253,8 @@ def hill_estimate(sample, k: int, *, tail: str = DEFAULT_HILL_TAIL) -> float:
     gamma_hat = (1/k) sum_{i=1..k} ln(X_(n-i+1) / X_(n-k)) over the order
     statistics of the positive (tail="positive") or absolute ("abs") values.
     The raw log-spacing mean is returned, not its reciprocal; ties at X_(n-k)
-    contribute zero spacings.  Scale-invariant by construction.
+    contribute zero spacings.  Scale-invariant by construction.  A sample
+    that is not 1-d, is empty or is not finite raises DataError.
     """
     try:
         k = operator.index(k)
@@ -250,7 +265,8 @@ def hill_estimate(sample, k: int, *, tail: str = DEFAULT_HILL_TAIL) -> float:
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < {n} {tail} values, got k={k}")
     # only the top k+1 order statistics enter, so sort only those
-    top = np.sort(np.partition(vals, n - k - 1)[n - k - 1:])
+    vals.partition(n - k - 1)
+    top = np.sort(vals[n - k - 1:])
     threshold = top[0]
     if threshold <= 0.0:
         raise ValueError("Hill estimator needs at least k+1 strictly positive values")
@@ -301,8 +317,9 @@ def hill_experiment(m: float, n: int, *, sims: int, seed: int,
 # ----------------------------------------------------------------------
 
 def empirical_kurtosis(sample) -> float:
-    """Uncorrected moment ratio m4 / m2^2 of centered sample moments."""
-    x = np.asarray(sample, dtype=float)
+    """Uncorrected moment ratio m4 / m2^2 of centered sample moments.  A
+    sample that is not 1-d, is empty or is not finite raises DataError."""
+    x = _finite_sample(sample, "kurtosis")
     if len(x) < 4:
         raise ValueError("kurtosis needs at least 4 observations")
     c = x - x.mean()
@@ -310,7 +327,10 @@ def empirical_kurtosis(sample) -> float:
     m2 = float(np.mean(c))
     if m2 == 0.0:
         raise ValueError("kurtosis undefined for a degenerate (zero-variance) sample")
-    return float(np.mean(c * c) / (m2 * m2))
+    if m2 * m2 < sys.float_info.min:  # m4 and m2^2 would underflow, to 0/0 at worst
+        raise ValueError(f"kurtosis out of double range: the variance {m2:g} squared underflows")
+    c *= c  # the fourth powers, in the same array
+    return float(np.mean(c) / (m2 * m2))
 
 
 def _check_level(k) -> float:
@@ -338,15 +358,17 @@ def exceedance_counts(sample, k_sigmas_list) -> list[ExceedanceRow]:
     sigma is estimated from the sample itself (population convention);
     the normal expectation uses the two-sided tail 2 Phi-bar(k) and the
     unimodal-bound expectation is n times :func:`bounds.gauss_bound` at
-    d = k, sigma = 1, or None outside that bound's regime.
+    d = k, sigma = 1, or None outside that bound's regime.  A sample that
+    is not 1-d, is empty or is not finite raises DataError.
     """
-    x = np.asarray(sample, dtype=float)
+    x = _finite_sample(sample, "exceedance counts")
     mu = float(x.mean())
     sigma = float(x.std())
     if sigma == 0.0:
         raise ValueError("exceedance counts undefined for a degenerate sample")
     n = len(x)
-    dev = np.abs(x - mu)
+    dev = x - mu
+    np.abs(dev, out=dev)
     rows = []
     for k in map(_check_level, k_sigmas_list):
         observed = int(np.count_nonzero(dev > k * sigma))
@@ -366,6 +388,16 @@ def exceedance_counts(sample, k_sigmas_list) -> list[ExceedanceRow]:
 _ANALYTIC_FLOOR = 1e-300
 
 
+def _empirical_survival(data: np.ndarray):
+    """The strict empirical survival #{v > x}/n of sorted data."""
+    n = len(data)
+
+    def surv(x: np.ndarray) -> np.ndarray:
+        return (n - np.searchsorted(data, x, side="right")) / n
+
+    return surv
+
+
 def tail_ratio_curve(survival_or_sample, x_grid,
                      factor: float = 1.5) -> list[tuple[float, float | None]]:
     """Points (x, P{X > x} / P{X > factor x}); None marks undefined points.
@@ -374,7 +406,8 @@ def tail_ratio_curve(survival_or_sample, x_grid,
     such as ``SymmetrizedGamma(m).survival``, or a sample array (strict
     empirical survival #{v > x}/n); each side of the ratio is one call on
     the grid.  A point is undefined when the denominator is 0 (empirical)
-    or below the analytic floor.
+    or below the analytic floor.  A sample that is not 1-d, is empty or is
+    not finite raises DataError.
     """
     _check_factor(factor)
     xs = np.asarray(x_grid, dtype=float)
@@ -383,12 +416,7 @@ def tail_ratio_curve(survival_or_sample, x_grid,
 
     surv = survival_or_sample
     if not callable(surv):
-        data = np.sort(np.asarray(survival_or_sample, dtype=float))
-        n = len(data)
-
-        def surv(x: np.ndarray) -> np.ndarray:
-            return (n - np.searchsorted(data, x, side="right")) / n
-
+        surv = _empirical_survival(np.sort(_finite_sample(surv, "an empirical tail ratio")))
     num = np.asarray(surv(xs), dtype=float).tolist()
     den = np.asarray(surv(factor * xs), dtype=float).tolist()
     return [(x, None if d <= _ANALYTIC_FLOOR else s / d)
@@ -425,7 +453,9 @@ def build_tail_report(series: ReturnSeries, *, levels=(3.0, 5.0, 10.0),
     level of ``levels``, Hill estimates on the ``hill_tail`` tail, and the
     empirical tail ratio at ``ratio_factor`` over the RATIO_QUANTILES grid.
     A bad level, tail or factor raises ValueError before any section is
-    computed; a field the data do not support is marked in ``notes`` instead."""
+    computed; a field the data do not support is marked in ``notes`` instead.
+    Besides the series, at most one float array of its length is held at a time,
+    and ``series.values`` is never written."""
     levels = [_check_level(k) for k in levels]
     _check_tail(hill_tail)
     _check_factor(ratio_factor)
@@ -458,12 +488,16 @@ def build_tail_report(series: ReturnSeries, *, levels=(3.0, 5.0, 10.0),
 
     ratio: list[tuple[float, float | None]] = []
     try:
-        dev = np.abs(x - mean)
-        grid = np.unique(np.quantile(dev, RATIO_QUANTILES))
+        # one scratch array: |x - mean| for the grid, then sorted x - mean
+        scratch = x - mean
+        np.abs(scratch, out=scratch)
+        grid = np.unique(np.quantile(scratch, RATIO_QUANTILES, overwrite_input=True))
         grid = grid[grid > 0]
         if len(grid) == 0:
             raise ValueError("no positive quantile grid points")
-        ratio = tail_ratio_curve(x - mean, grid, ratio_factor)
+        np.subtract(x, mean, out=scratch)
+        scratch.sort()
+        ratio = tail_ratio_curve(_empirical_survival(scratch), grid, ratio_factor)
     except ValueError as exc:
         notes.append(f"tail ratio unavailable: {exc}")
 

@@ -1,10 +1,12 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nugamma import diagnostics
 from nugamma.diagnostics import (
@@ -191,6 +193,9 @@ class TestEmpiricalKurtosis:
             empirical_kurtosis(np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             empirical_kurtosis(np.ones(10))
+        # m4 and m2^2 underflowed to 0 and the ratio was nan, with a warning
+        with pytest.raises(ValueError, match="squared underflows"):
+            empirical_kurtosis(np.array([3.54341554e-90, 0.0, 0.0, 0.0]))
 
 
 class TestExceedanceCounts:
@@ -310,15 +315,98 @@ class TestTailRatioCurve:
                 tail_ratio_curve(lambda x: np.exp(-x), grid, 1.5)
 
 
+class TestFiniteSampleRule:
+    # each of these once returned a number or raised numpy's own error:
+    # exceedance counts over [1, 2, nan, 4, 5] reported observed 0, and the
+    # empirical tail ratio over a sample holding nan read 1.0
+    CALLS = {
+        "kurtosis": lambda x: empirical_kurtosis(x),
+        "exceedances": lambda x: exceedance_counts(x, [1.0]),
+        "tail-ratio": lambda x: tail_ratio_curve(x, [0.5, 1.0], 1.5),
+        "hill-positive": lambda x: hill_estimate(x, 1, tail="positive"),
+        "hill-abs": lambda x: hill_estimate(x, 1, tail="abs"),
+    }
+    # samples the rule refuses: not 1-d, empty, or not finite
+    BAD = {"0-d": 3.0, "2-d": [[0.1, 0.2], [0.3, 0.4]], "empty": [], "nan": [np.nan],
+           "inf": [0.1, np.inf], "-inf": [-np.inf, 0.2, 0.3],
+           "nan-inside": [1.0, 2.0, np.nan, 4.0, 5.0]}
+
+    @pytest.mark.parametrize("sample", BAD.values(), ids=BAD.keys())
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_refused_with_data_error(self, call, sample):
+        with pytest.raises(DataError, match="needs a 1-d sample of at least one value, all finite"):
+            call(sample)
+
+    @given(hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(-1e3, 1e3)))
+    @settings(max_examples=100, deadline=None)
+    def test_inputs_are_never_written(self, x):
+        before = x.tobytes()
+        for call in self.CALLS.values():
+            try:
+                call(x)
+            except ValueError:  # too few values, or a degenerate sample
+                pass
+            assert x.tobytes() == before
+        if len(x) >= 2:
+            for tail in diagnostics.HILL_TAILS:
+                series = ReturnSeries(x)
+                assert series.values is x
+                rep = build_tail_report(series, hill_tail=tail)
+                assert x.tobytes() == before
+                assert rep == build_tail_report(ReturnSeries(x.copy()), hill_tail=tail)
+
+
+def _peak_bytes(fn, *args, **kwargs):
+    """(result, peak traced bytes above those allocated before the call)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    # audit's working memory: the column once plus one scratch array of its
+    # length; 1.5 x 8n bytes leaves room for the reader's block buffers
+    # and the Hill top-k arrays, which grow slower than n.
+    N = 200_000
+    BUDGET = 1.5 * 8 * N
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        x = SymmetrizedGamma(10.0).sample(child_rng(SEED, 40), self.N)
+        # the first np.unique call imports numpy.ma: a fixed cost, not one per row
+        build_tail_report(ReturnSeries(x[:100]))
+        return x
+
+    def test_reader_holds_the_column_once(self, tmp_path, sample):
+        p = tmp_path / "returns.csv"
+        p.write_text("t,ret\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(sample.tolist())))
+        (series, skipped), peak = _peak_bytes(read_return_series, p, "ret")
+        np.testing.assert_array_equal(series.values, sample)
+        assert skipped == 0
+        assert peak <= self.BUDGET, peak / (8 * self.N)
+
+    @pytest.mark.parametrize("tail", ["positive", "abs"])
+    def test_report_holds_one_scratch_array(self, sample, tail):
+        rep, peak = _peak_bytes(build_tail_report, ReturnSeries(sample), hill_tail=tail)
+        assert rep.n == self.N and rep.kurtosis is not None and len(rep.hill) == len(HILL_RULES)
+        assert peak <= self.BUDGET, peak / (8 * self.N)
+
+
 class TestKolmogorovSmirnov:
     def test_distance_exact_uniform(self):
         sample = np.array([0.1, 0.2, 0.3, 0.4])
         d = ks_distance(sample, lambda x: np.asarray(x))
         assert d == pytest.approx(0.6, rel=1e-12)
 
-    @pytest.mark.parametrize("sample", [[], [np.nan], [0.1, np.inf], [-np.inf, 0.2, 0.3]],
-                             ids=["empty", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("sample", [[], [np.nan], [0.1, np.inf], [-np.inf, 0.2, 0.3],
+                                        3.0, [[0.1, 0.2], [0.3, 0.4]]],
+                             ids=["empty", "nan", "inf", "-inf", "0-d", "2-d"])
     def test_empty_or_non_finite_sample_raises(self, sample):
+        # a 0-d sample was numpy's AxisError from the sort
         with pytest.raises(DataError, match="at least one value, all finite"):
             ks_distance(sample, lambda x: np.asarray(x))
 
