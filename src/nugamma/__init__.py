@@ -25,7 +25,7 @@ _HOMES = {name: module for module, names in {
                     "hill_experiment", "ks_critical_value", "ks_distance",
                     "read_return_series", "tail_ratio_curve"),
     "dist": ("SymmetricStable", "SymmetrizedGamma"),
-    "errors": ("DataError", "FitError", "IntegrationError", "NuGammaError",
+    "errors": ("ArgumentError", "DataError", "FitError", "IntegrationError", "NuGammaError",
                "OutOfRegimeError"),
     "randsum": ("Component", "NuFamily", "RandomSumConfig", "fit_stable_to_ecdf",
                 "prelimit_experiment", "random_sum_draws", "theorem1_experiment"),

@@ -11,15 +11,9 @@ baseline it improves on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import OutOfRegimeError
-
-
-def _check_d_sigma(d: float, sigma: float) -> None:
-    if not (0 < d < math.inf and 0 < sigma < math.inf):
-        raise ValueError("d and sigma must be finite and positive")
+from .errors import ArgumentError, OutOfRegimeError, check_at_least, check_positive
 
 
 @dataclass(frozen=True)
@@ -38,7 +32,8 @@ class GaussExtremalMixture:
     d: float
 
     def __post_init__(self) -> None:
-        _check_d_sigma(self.d, self.sigma)
+        check_positive("d", self.d)
+        check_positive("sigma", self.sigma)
         if self.rect_weight > 1.0:  # d^2 < 4 sigma^2 / 3, as the weight rounds it
             raise OutOfRegimeError(
                 f"gauss bound requires d^2 >= 4 sigma^2 / 3 (d={self.d}, sigma={self.sigma})"
@@ -61,8 +56,7 @@ class GaussExtremalMixture:
         """n draws; one uniform decides the branch, one the rectangle position."""
         import numpy as np  # here alone: the bounds themselves are arithmetic
 
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        check_at_least("n", n, 1)
         lo, hi = self.rect_support
         pick = rng.random(n)
         pos = rng.uniform(lo, hi, n)
@@ -92,13 +86,13 @@ def gauss_bound(d: float, sigma: float) -> BoundResult:
 
 def chebyshev_bound(d: float, sigma: float) -> BoundResult:
     """Chebyshev bound min(1, sigma^2 / d^2); valid for every d > 0."""
-    _check_d_sigma(d, sigma)
-    q = d / sigma  # 1 / q^2 keeps the bits of sigma^2 / d^2 at sigma = 1, which r * r does not
+    # 1 / q^2 keeps the bits of sigma^2 / d^2 at sigma = 1, which r * r does not
+    q = check_positive("d", d) / check_positive("sigma", sigma)
     return BoundResult(level_d=d, bound=1.0 if q <= 1.0 else 1.0 / (q * q), kind="chebyshev")
 
 
 def expected_exceedances(n: int, bound: BoundResult) -> float:
     """Expected count of |X - mu| >= d events in a sample of size n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if n < 0:  # an infinite n has its limit, infinitely many expected events
+        raise ArgumentError(f"n must be nonnegative, got {n}")
     return n * bound.bound

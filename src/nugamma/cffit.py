@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import SymmetrizedGamma
-from .errors import FitError
+from .errors import ArgumentError, FitError, check_at_least, check_one_of, check_positive
 
 DEFAULT_METHOD = "ls-cf"
 _METHODS = ("loglog-regression", "ls-cf")
@@ -138,9 +138,8 @@ class FitWindow:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.delta < self.Delta < math.inf):
-            raise ValueError("need 0 < delta < Delta < inf")
-        if self.grid_size < 8:
-            raise ValueError("grid_size must be >= 8")
+            raise ArgumentError("need 0 < delta < Delta < inf")
+        check_at_least("grid_size", self.grid_size, 8)
 
     def linear_grid(self) -> np.ndarray:
         return np.linspace(self.delta, self.Delta, self.grid_size)
@@ -159,9 +158,7 @@ class StableFit:
 
 def sum_cf(m: float, n: int, t) -> float | np.ndarray:
     """CF of the standardized n-fold sum: f(t, m/n) = (1 + (m/n) t^2)^(-n/m)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return SymmetrizedGamma(m / n).cf(t)
+    return SymmetrizedGamma(m / check_at_least("n", n, 1)).cf(t)
 
 
 def feasible_lambda_interval(m_eff: float, alpha: float,
@@ -175,11 +172,9 @@ def feasible_lambda_interval(m_eff: float, alpha: float,
     empty (lo >= hi).
     """
     if not (0.0 < alpha < 2.0):
-        raise ValueError("alpha must be in (0, 2)")
-    if not 0.0 < m_eff < math.inf:
-        raise ValueError("m_eff must be finite and positive")
+        raise ArgumentError(f"alpha must be in (0, 2), got {alpha}")
     ts = window.log_grid()
-    u = m_eff * ts * ts
+    u = check_positive("m_eff", m_eff) * ts * ts
     lo = float(np.max(ts ** (2.0 - alpha) * np.log1p(u) / u))
     return lo, window.delta ** (2.0 - alpha)
 
@@ -206,8 +201,7 @@ def fit_stable_cf_values(cf, window: FitWindow, method: str = DEFAULT_METHOD) ->
     the regression (see :func:`minimize`).  Raises FitError when
     Nelder-Mead does not converge.
     """
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}")
+    check_one_of("method", method, _METHODS)
     ts_log = window.log_grid()
     alpha0, lam0, resid_ll = _loglog_fit(ts_log, np.asarray(cf(ts_log), dtype=float))
     if method == "loglog-regression":

@@ -18,7 +18,8 @@ import argparse
 import sys
 
 from .conventions import DEFAULT_HILL_TAIL, DEFAULT_SEED, HILL_TAILS
-from .errors import DataError, FitError, IntegrationError, OutOfRegimeError
+from .errors import (ArgumentError, DataError, FitError, IntegrationError, OutOfRegimeError,
+                     check_at_least, check_positive)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -217,7 +218,7 @@ def _cmd_fig1(args):
 
     d = SymmetrizedGamma(args.m)
     if not np.isfinite([args.x_min, args.x_max]).all():  # linspace would warn
-        raise ValueError(f"x range must be finite, got {args.x_min} to {args.x_max}")
+        raise ArgumentError(f"x range must be finite, got {args.x_min} to {args.x_max}")
     xs = np.linspace(args.x_min, args.x_max, args.points)
     curve = tail_ratio_curve(d.survival, xs, args.factor)
     rows = [{"x": x, "ratio": r} for x, r in curve]
@@ -304,14 +305,12 @@ def _cmd_audit(args):
     from . import diagnostics
 
     # a bad option fails before the file is read
-    levels = [diagnostics._check_level(k) for k in args.levels]
-    diagnostics._check_factor(args.factor)
+    levels = [check_positive("k_sigmas", k) for k in args.levels]
+    check_at_least("factor", args.factor, 1)
     series, skipped = diagnostics.read_return_series(args.input_path, args.column,
                                                      strict=args.strict)
     rep = diagnostics.build_tail_report(series, levels=levels,
                                         hill_tail=args.hill_tail, ratio_factor=args.factor)
-    if rep.sigma == 0.0:
-        raise DataError("degenerate series: zero variance")
     payload = {
         "summary": [{"label": series.label, "n": rep.n, "mean": rep.mean,
                      "sigma": rep.sigma, "kurtosis": rep.kurtosis,

@@ -19,7 +19,8 @@ import numpy as np
 from .bounds import expected_exceedances, gauss_bound
 from .conventions import DEFAULT_HILL_TAIL, HILL_TAILS
 from .dist import SymmetrizedGamma
-from .errors import DataError, OutOfRegimeError
+from .errors import (ArgumentError, DataError, OutOfRegimeError, check_at_least, check_one_of,
+                     check_positive)
 from .parallel import child_rng, run_tasks
 
 # Hill k rules, in report order: rule name -> exponent e of k = floor(n^e)
@@ -41,12 +42,10 @@ class ReturnSeries:
     source: str = "simulated"
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = _finite_sample(self.values, "a return series")
         object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or len(vals) < 2:
+        if len(vals) < 2:
             raise DataError("a return series needs at least two values")
-        if not np.all(np.isfinite(vals)):
-            raise DataError("return series values must all be finite")
 
 
 # cells that count as data, never as a header name, besides every string
@@ -202,9 +201,12 @@ def _finite_sample(sample, what: str) -> np.ndarray:
     """sample as a 1-d float64 array, without a copy when it is one; a
     sample that is not 1-d, is empty or holds a value that is not finite
     raises DataError."""
-    x = np.asarray(sample, dtype=float)
-    # min and max propagate nan and keep an infinity, without an n-length temporary
-    if x.ndim != 1 or not len(x) or not math.isfinite(x.min()) or not math.isfinite(x.max()):
+    try:  # min and max propagate nan and keep an infinity, without an n-length temporary
+        x = np.asarray(sample, dtype=float)
+        ok = x.ndim == 1 and len(x) and math.isfinite(x.min()) and math.isfinite(x.max())
+    except (TypeError, ValueError):  # cells that are not numbers, or a ragged list
+        ok = False
+    if not ok:
         raise DataError(f"{what} needs a 1-d sample of at least one value, all finite")
     return x
 
@@ -227,25 +229,14 @@ def ks_distance(sample, cdf) -> float:
 
 def ks_critical_value(n: int) -> float:
     """Asymptotic 1% critical value of the KS statistic of n points."""
+    if n <= 0:  # an infinite n has its limit, 0
+        raise ArgumentError(f"n must be positive, got {n}")
     return KS_CRITICAL_1PCT / math.sqrt(n)
 
 
 # ----------------------------------------------------------------------
 # Hill estimator
 # ----------------------------------------------------------------------
-
-def _check_tail(tail: str) -> str:
-    if tail not in HILL_TAILS:
-        raise ValueError(f"tail must be one of {HILL_TAILS}, got {tail!r}")
-    return tail
-
-
-def _hill_values(sample, tail: str) -> np.ndarray:
-    """A fresh array of the tail's values: the caller may reorder it."""
-    _check_tail(tail)
-    x = _finite_sample(sample, "a Hill estimate")
-    return np.abs(x) if tail == "abs" else x[x > 0.0]
-
 
 def hill_estimate(sample, k: int, *, tail: str = DEFAULT_HILL_TAIL) -> float:
     """Mean log-spacing of the top k order statistics.
@@ -259,27 +250,26 @@ def hill_estimate(sample, k: int, *, tail: str = DEFAULT_HILL_TAIL) -> float:
     try:
         k = operator.index(k)
     except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
-    vals = _hill_values(sample, tail)
+        raise ArgumentError(f"k must be an integer, got {k!r}") from None
+    check_one_of("tail", tail, HILL_TAILS)
+    x = _finite_sample(sample, "a Hill estimate")
+    vals = np.abs(x) if tail == "abs" else x[x > 0.0]  # a fresh array, reordered below
     n = len(vals)
     if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < {n} {tail} values, got k={k}")
+        raise ArgumentError(f"need 1 <= k < {n} {tail} values, got k={k}")
     # only the top k+1 order statistics enter, so sort only those
     vals.partition(n - k - 1)
     top = np.sort(vals[n - k - 1:])
     threshold = top[0]
     if threshold <= 0.0:
-        raise ValueError("Hill estimator needs at least k+1 strictly positive values")
+        raise ArgumentError("Hill estimator needs at least k+1 strictly positive values")
     return float(np.mean(np.log(top[1:]) - math.log(threshold)))
 
 
 def hill_k(rule: str, n: int) -> int:
     """k = floor(n^e) for the exponent e of a rule of HILL_RULES."""
-    if rule not in HILL_RULES:
-        raise ValueError(f"unknown Hill k rule {rule!r}")
-    if not n >= 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return int(math.floor(n ** HILL_RULES[rule] + 1e-9))  # guard against 15.999999... artifacts
+    e = HILL_RULES[check_one_of("rule", rule, tuple(HILL_RULES))]
+    return int(math.floor(check_at_least("n", n, 1) ** e + 1e-9))  # guard against 15.999999...
 
 
 def _hill_sim(args):
@@ -301,10 +291,10 @@ def hill_experiment(m: float, n: int, *, sims: int, seed: int,
 
     One derived stream, and one task, per simulation index; aggregation
     order is fixed, so the result does not depend on the worker count.
-    Raises ValueError when sims < 1.
+    A bad sims or tail raises ArgumentError before the first simulation.
     """
-    if sims < 1:
-        raise ValueError(f"sims must be >= 1, got {sims}")
+    check_at_least("sims", sims, 1)
+    check_one_of("tail", tail, HILL_TAILS)
     ks = tuple(hill_k(r, n) for r in HILL_RULES)
     args = [(float(m), int(n), int(seed), s, ks, tail) for s in range(sims)]
     per_sim = np.array(run_tasks(_hill_sim, args, workers))
@@ -318,30 +308,25 @@ def hill_experiment(m: float, n: int, *, sims: int, seed: int,
 
 def empirical_kurtosis(sample) -> float:
     """Uncorrected moment ratio m4 / m2^2 of centered sample moments.  A
-    sample that is not 1-d, is empty or is not finite raises DataError."""
+    sample that is not 1-d, is empty or is not finite, has fewer than 4
+    values or zero variance, or whose moments leave double range raises
+    DataError."""
     x = _finite_sample(sample, "kurtosis")
     if len(x) < 4:
-        raise ValueError("kurtosis needs at least 4 observations")
-    c = x - x.mean()
-    c *= c  # squared in place: c ** 4 would go through the generic pow
-    m2 = float(np.mean(c))
+        raise DataError("kurtosis needs at least 4 observations")
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range: refused below
+        c = x - x.mean()
+        c *= c  # squared in place: c ** 4 would go through the generic pow
+        m2 = float(np.mean(c))
+        c *= c  # the fourth powers, in the same array
+        m4 = float(np.mean(c))
     if m2 == 0.0:
-        raise ValueError("kurtosis undefined for a degenerate (zero-variance) sample")
+        raise DataError("kurtosis undefined for a degenerate (zero-variance) sample")
     if m2 * m2 < sys.float_info.min:  # m4 and m2^2 would underflow, to 0/0 at worst
-        raise ValueError(f"kurtosis out of double range: the variance {m2:g} squared underflows")
-    c *= c  # the fourth powers, in the same array
-    return float(np.mean(c) / (m2 * m2))
-
-
-def _check_level(k) -> float:
-    if not 0.0 < float(k) < math.inf:
-        raise ValueError(f"k_sigmas must be finite and positive, got {k}")
-    return float(k)
-
-
-def _check_factor(factor) -> None:
-    if not 1.0 <= factor < math.inf:
-        raise ValueError(f"factor must be finite and >= 1, got {factor}")
+        raise DataError(f"kurtosis out of double range: the variance {m2:g} squared underflows")
+    if not (m4 < math.inf and m2 * m2 < math.inf):  # inf / inf at worst
+        raise DataError("kurtosis out of double range: the fourth powers overflow")
+    return m4 / (m2 * m2)
 
 
 @dataclass(frozen=True)
@@ -365,12 +350,13 @@ def exceedance_counts(sample, k_sigmas_list) -> list[ExceedanceRow]:
     mu = float(x.mean())
     sigma = float(x.std())
     if sigma == 0.0:
-        raise ValueError("exceedance counts undefined for a degenerate sample")
+        raise DataError("exceedance counts undefined for a degenerate sample")
     n = len(x)
     dev = x - mu
     np.abs(dev, out=dev)
     rows = []
-    for k in map(_check_level, k_sigmas_list):
+    for k in k_sigmas_list:
+        k = float(check_positive("k_sigmas", k))
         observed = int(np.count_nonzero(dev > k * sigma))
         expected_normal = n * math.erfc(k / math.sqrt(2.0))
         try:
@@ -409,10 +395,10 @@ def tail_ratio_curve(survival_or_sample, x_grid,
     or below the analytic floor.  A sample that is not 1-d, is empty or is
     not finite raises DataError.
     """
-    _check_factor(factor)
+    check_at_least("factor", factor, 1)
     xs = np.asarray(x_grid, dtype=float)
     if len(xs) == 0 or not np.all((xs > 0) & (xs < np.inf)) or np.any(np.diff(xs) <= 0):
-        raise ValueError("x_grid must be finite, increasing and positive")
+        raise ArgumentError("x_grid must be finite, increasing and positive")
 
     surv = survival_or_sample
     if not callable(surv):
@@ -452,30 +438,32 @@ def build_tail_report(series: ReturnSeries, *, levels=(3.0, 5.0, 10.0),
     """All diagnostics over one series: exceedance counts at each k-sigma
     level of ``levels``, Hill estimates on the ``hill_tail`` tail, and the
     empirical tail ratio at ``ratio_factor`` over the RATIO_QUANTILES grid.
-    A bad level, tail or factor raises ValueError before any section is
-    computed; a field the data do not support is marked in ``notes`` instead.
-    Besides the series, at most one float array of its length is held at a time,
-    and ``series.values`` is never written."""
-    levels = [_check_level(k) for k in levels]
-    _check_tail(hill_tail)
-    _check_factor(ratio_factor)
+    Before any section, a bad level, tail or factor raises ArgumentError, and
+    zero variance or a mean or sigma out of double range raises DataError; a
+    field the data do not support is marked in ``notes`` instead.  Besides the
+    series, at most one float array of its length is held at a time, and
+    ``series.values`` is never written."""
+    levels = [float(check_positive("k_sigmas", k)) for k in levels]
+    check_one_of("tail", hill_tail, HILL_TAILS)
+    check_at_least("factor", ratio_factor, 1)
     x = series.values
     n = len(x)
-    mean = float(x.mean())
-    sigma = float(x.std())
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        mean = float(x.mean())
+        sigma = float(x.std())
+    if sigma == 0.0:
+        raise DataError("degenerate series: zero variance")
+    if not (math.isfinite(mean) and math.isfinite(sigma)):
+        raise DataError(f"series out of double range: mean {mean:g}, sigma {sigma:g}")
     notes: list[str] = []
 
     kurt: float | None = None
     try:
         kurt = empirical_kurtosis(x)
-    except ValueError as exc:
+    except DataError as exc:
         notes.append(f"kurtosis unavailable: {exc}")
 
-    exceed: list[ExceedanceRow] = []
-    try:
-        exceed = exceedance_counts(x, levels)
-    except ValueError as exc:
-        notes.append(f"exceedances unavailable: {exc}")
+    exceed = exceedance_counts(x, levels)
 
     hill_rows: list[HillRow] = []
     for rule in HILL_RULES:
@@ -483,23 +471,21 @@ def build_tail_report(series: ReturnSeries, *, levels=(3.0, 5.0, 10.0),
             k = hill_k(rule, n)
             g = hill_estimate(x, k, tail=hill_tail)
             hill_rows.append(HillRow(rule, k, g, (1.0 / g) if g > 0 else math.inf))
-        except ValueError as exc:
+        except ArgumentError as exc:  # too few values in the tail for this k
             notes.append(f"hill[{rule}] unavailable: {exc}")
 
+    # one scratch array: |x - mean| for the grid, then sorted x - mean
+    scratch = x - mean
+    np.abs(scratch, out=scratch)
+    grid = np.unique(np.quantile(scratch, RATIO_QUANTILES, overwrite_input=True))
+    grid = grid[grid > 0]
     ratio: list[tuple[float, float | None]] = []
-    try:
-        # one scratch array: |x - mean| for the grid, then sorted x - mean
-        scratch = x - mean
-        np.abs(scratch, out=scratch)
-        grid = np.unique(np.quantile(scratch, RATIO_QUANTILES, overwrite_input=True))
-        grid = grid[grid > 0]
-        if len(grid) == 0:
-            raise ValueError("no positive quantile grid points")
+    if len(grid):
         np.subtract(x, mean, out=scratch)
         scratch.sort()
         ratio = tail_ratio_curve(_empirical_survival(scratch), grid, ratio_factor)
-    except ValueError as exc:
-        notes.append(f"tail ratio unavailable: {exc}")
+    else:
+        notes.append("tail ratio unavailable: no positive quantile grid points")
 
     return TailReport(n=n, mean=mean, sigma=sigma, kurtosis=kurt,
                       exceedances=exceed, hill=hill_rows, tail_ratio=ratio, notes=notes)

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from . import specfun
-from .errors import OutOfRegimeError
+from .errors import ArgumentError, OutOfRegimeError, check_at_least, check_one_of, check_positive
 
 # m on which the density, and so every CDF table, is tested against mpmath.
 # Each end admits a relative 1e-12, so that 1/1000.0 and exp(ln 1e4) =
@@ -234,8 +234,7 @@ class SymmetrizedGamma:
     m: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.m < math.inf:
-            raise ValueError(f"m must be finite and positive, got {self.m}")
+        check_positive("m", self.m)
 
     # gamma-component parameters forced by the characteristic function:
     # shape 1/m and scale sqrt(m) give CF (1 + m t^2)^(-1/m) and variance 2.
@@ -377,15 +376,10 @@ class SymmetrizedGamma:
         computed (its printed values correspond to threshold 2k, not
         k * sqrt(2)).  No default: the two units give different numbers.
         """
-        if not k_sigmas > 0:
-            raise ValueError("k_sigmas must be positive")
-        if unit == "sigma":
-            threshold = k_sigmas * _SQRT2
-        elif unit == "sigma_squared":
-            threshold = k_sigmas * 2.0
-        else:
-            raise ValueError(f"unknown unit {unit!r}")
-        return 2.0 * self.survival(threshold)
+        if not k_sigmas > 0:  # an infinite level has probability 0
+            raise ArgumentError(f"k_sigmas must be positive, got {k_sigmas}")
+        check_one_of("unit", unit, ("sigma", "sigma_squared"))
+        return 2.0 * self.survival(k_sigmas * (_SQRT2 if unit == "sigma" else 2.0))
 
     # ------------------------------------------------------------------
     # sampling
@@ -393,8 +387,7 @@ class SymmetrizedGamma:
 
     def sample(self, rng: np.random.Generator, n: int):
         """n i.i.d. draws of X = Y1 - Y2 (two gamma arrays, in that order)."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        check_at_least("n", n, 1)
         y1 = rng.gamma(self.shape, self.scale, size=n)
         y2 = rng.gamma(self.shape, self.scale, size=n)
         return y1 - y2
@@ -418,9 +411,8 @@ class SymmetricStable:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 2.0):
-            raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not 0.0 < self.lam < math.inf:
-            raise ValueError(f"lambda must be finite and positive, got {self.lam}")
+            raise ArgumentError(f"alpha must be in (0, 2], got {self.alpha}")
+        check_positive("lambda", self.lam)
 
     def cf(self, t):
         t = np.asarray(t, dtype=float)

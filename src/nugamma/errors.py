@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that
+raise :class:`ArgumentError`.
+
+Each check returns the value it was given, so a caller can check and bind
+in one expression; a value that does not compare, such as a string among
+numbers, fails.
+"""
+
+import math
 
 
 class NuGammaError(Exception):
@@ -13,6 +21,11 @@ class FitError(NuGammaError):
     """A parametric fit could not be carried out on the given window."""
 
 
+class ArgumentError(NuGammaError, ValueError):
+    """An argument outside the values a function is defined for: the caller's
+    mistake, not a property of the data or of a numerical regime."""
+
+
 class OutOfRegimeError(NuGammaError, ValueError):
     """A parameter outside the domain where a result is valid or tested:
     the unimodal bound's regime d^2 >= 4 sigma^2 / 3, the symmetrized gamma
@@ -22,3 +35,29 @@ class OutOfRegimeError(NuGammaError, ValueError):
 
 class DataError(NuGammaError, ValueError):
     """Input data is missing, unparseable or degenerate."""
+
+
+def _check(name: str, value, ok, bound: str):
+    try:  # an array compares elementwise, a string or None not at all
+        passed = bool(ok(value))
+    except (TypeError, ValueError):
+        passed = False
+    if not passed:
+        shown = repr(value) if isinstance(value, str) else value
+        raise ArgumentError(f"{name} must be {bound}, got {shown}")
+    return value
+
+
+def check_positive(name: str, value):
+    """value, when it is a finite number > 0; otherwise ArgumentError."""
+    return _check(name, value, lambda v: 0.0 < v < math.inf, "finite and positive")
+
+
+def check_at_least(name: str, value, low: float):
+    """value, when it is a finite number >= low; otherwise ArgumentError."""
+    return _check(name, value, lambda v: low <= v < math.inf, f"finite and >= {low:g}")
+
+
+def check_one_of(name: str, value, choices: tuple):
+    """value, when it is one of choices; otherwise ArgumentError."""
+    return _check(name, value, lambda v: v in choices, f"one of {choices}")

@@ -33,9 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cffit import minimize
-from .diagnostics import ks_distance
+from .diagnostics import _finite_sample, ks_distance
 from .dist import SymmetricStable, SymmetrizedGamma
-from .errors import DataError, FitError, OutOfRegimeError
+from .errors import (ArgumentError, DataError, FitError, OutOfRegimeError, check_at_least,
+                     check_one_of)
 from .parallel import chunked_draws
 
 ECDF_GRID_POINTS = 512
@@ -70,9 +71,9 @@ class NuFamily:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.m, int) and self.m >= 1):
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+            raise ArgumentError(f"m must be a positive integer, got {self.m!r}")
         if not (0.0 < self.p < 1.0):
-            raise ValueError(f"p must be in (0, 1), got {self.p}")
+            raise ArgumentError(f"p must be in (0, 1), got {self.p}")
         if self.m > self.p * 2.0 ** 62 / COUNT_TAIL_SCALES:
             raise OutOfRegimeError(
                 f"p={self.p:g} is below {COUNT_TAIL_SCALES:g} m 2^-62 at m={self.m}: "
@@ -86,7 +87,7 @@ class NuFamily:
         """P_p(z, m) for z in [0, 1]."""
         z = np.asarray(z, dtype=float)
         if np.any(z < 0.0) or np.any(z > 1.0):
-            raise ValueError("pgf defined here for z in [0, 1]")
+            raise ArgumentError("pgf defined here for z in [0, 1]")
         out = self.p ** (1.0 / self.m) * z / (1.0 - (1.0 - self.p) * z ** self.m) ** (1.0 / self.m)
         return float(out) if out.ndim == 0 else out
 
@@ -105,8 +106,7 @@ class Component:
     param: float
 
     def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "sg"):
-            raise ValueError(f"unknown component kind {self.kind!r}")
+        check_one_of("kind", self.kind, ("uniform", "sg"))
 
     @property
     def variance(self) -> float:
@@ -142,8 +142,7 @@ class RandomSumConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        check_at_least("replicates", self.replicates, 1)
 
 
 def _flat_sums(rng: np.random.Generator, nu: np.ndarray, component: Component) -> np.ndarray:
@@ -181,13 +180,14 @@ def _check_draw_budget(config: RandomSumConfig) -> None:
         return
     expected = config.replicates / config.family.p
     if expected > MAX_EXPECTED_SUMMANDS:
-        raise ValueError(
+        raise ArgumentError(
             f"{config.replicates} replicates at p={config.family.p:g} need about "
             f"{expected:.3g} summand draws, over the budget of {MAX_EXPECTED_SUMMANDS:.3g}")
 
 
 def random_sum_draws(config: RandomSumConfig, *, stage: int = 0, workers: int = 1) -> np.ndarray:
     """All replicates, one child stream per (stage, chunk index)."""
+    check_at_least("stage", stage, 0)
     _check_draw_budget(config)
     if config.component.kind == "sg":
         workers = 1  # the streams, and so the draws, do not depend on it
@@ -208,9 +208,9 @@ def theorem1_experiment(m: int, component: Component, p_schedule,
     """
     p_schedule = list(p_schedule)
     if any(b >= a for a, b in zip(p_schedule, p_schedule[1:])):
-        raise ValueError("p_schedule must be strictly decreasing")
+        raise ArgumentError("p_schedule must be strictly decreasing")
     if abs(component.variance - 2.0) > 1e-9:
-        raise ValueError("theorem1_experiment requires a variance-2 component")
+        raise ArgumentError("theorem1_experiment requires a variance-2 component")
     configs = [RandomSumConfig(NuFamily(m, p), component, replicates, seed) for p in p_schedule]
     for cfg in configs:
         _check_draw_budget(cfg)
@@ -256,10 +256,10 @@ def prelimit_experiment(m: int, n: int, replicates: int, exponent_alpha: float,
     work for a process pool, so the draws always run in-process, as for
     sg summands in :func:`random_sum_draws`.
     """
-    if n < 1 or replicates < 2:  # one draw spans no central interval for the grid
-        raise ValueError(f"need n >= 1 and replicates >= 2, got n={n}, replicates={replicates}")
+    check_at_least("n", n, 1)
+    check_at_least("replicates", replicates, 2)  # one draw spans no central interval for the grid
     if not 0.0 < exponent_alpha <= 2.0:
-        raise ValueError(f"exponent_alpha must be in (0, 2], got {exponent_alpha}")
+        raise ArgumentError(f"exponent_alpha must be in (0, 2], got {exponent_alpha}")
     scale = float(n) ** (1.0 / exponent_alpha)
     sums = chunked_draws(_prelimit_chunk, (m / n, math.sqrt(n) / scale), replicates, seed, ())
     grid = evaluation_grid(sums)
@@ -285,11 +285,9 @@ def fit_stable_to_ecdf(grid: np.ndarray, ecdf: np.ndarray) -> EcdfStableFit:
     on the same grid.  Raises DataError for a table it cannot scale and
     FitError when Nelder-Mead does not converge.
     """
-    grid, ecdf = np.asarray(grid, dtype=float), np.asarray(ecdf, dtype=float)
-    if grid.ndim != 1 or grid.shape != ecdf.shape or len(grid) < 2 \
-            or not np.isfinite([grid, ecdf]).all():
-        raise DataError("grid and ecdf must be finite 1-d tables of one length, "
-                        "at least two rows")
+    grid, ecdf = _finite_sample(grid, "an ECDF fit's grid"), _finite_sample(ecdf, "an ECDF")
+    if grid.shape != ecdf.shape or len(grid) < 2:
+        raise DataError("grid and ecdf must be tables of one length, at least two rows")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
         s = float(np.interp(0.75, ecdf, grid) - np.interp(0.25, ecdf, grid))
     # s * s bounds s ** alpha over the box, so lambda = lambda' s^alpha stays a double

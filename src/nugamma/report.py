@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from .errors import check_one_of
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
@@ -135,14 +136,11 @@ def render_table(doc: ReportDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
+_RENDERERS = {"json": render_json, "csv": render_csv, "table": render_table}
+
+
 def render(doc: ReportDocument, output_format: str) -> str:
-    if output_format == "json":
-        return render_json(doc)
-    if output_format == "csv":
-        return render_csv(doc)
-    if output_format == "table":
-        return render_table(doc)
-    raise ValueError(f"unknown output format {output_format!r}")
+    return _RENDERERS[check_one_of("output_format", output_format, tuple(_RENDERERS))](doc)
 
 
 # ----------------------------------------------------------------------

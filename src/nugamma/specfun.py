@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import laguerre
 
-from .errors import IntegrationError
+from .errors import ArgumentError, IntegrationError, check_at_least
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,8 @@ class QuadratureSpec:
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("abs_tol and rel_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+            raise ArgumentError("abs_tol and rel_tol must be positive")
+        check_at_least("max_subdivisions", self.max_subdivisions, 1)
 
 
 def _budget(value: float, spec: QuadratureSpec) -> float:

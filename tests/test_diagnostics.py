@@ -1,6 +1,8 @@
 import csv
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from nugamma.diagnostics import (
 )
 from nugamma.dist import SymmetrizedGamma
 from nugamma.bounds import expected_exceedances, gauss_bound
-from nugamma.errors import DataError, OutOfRegimeError
+from nugamma.errors import ArgumentError, DataError, OutOfRegimeError
 from nugamma.parallel import child_rng
 
 import oracles
@@ -136,7 +138,7 @@ class TestHillK:
     @pytest.mark.parametrize("n", [0, -5, math.nan])
     def test_n_below_one(self, n):
         # -5 was a TypeError from the fractional power of a negative number
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ArgumentError, match="n must be finite and >= 1"):
             hill_k("sqrt", n)
 
 
@@ -196,6 +198,14 @@ class TestEmpiricalKurtosis:
         # m4 and m2^2 underflowed to 0 and the ratio was nan, with a warning
         with pytest.raises(ValueError, match="squared underflows"):
             empirical_kurtosis(np.array([3.54341554e-90, 0.0, 0.0, 0.0]))
+
+    def test_fourth_powers_that_overflow_are_refused(self):
+        # the fourth powers overflowed to inf and the ratio was nan, after
+        # two numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="the fourth powers overflow"):
+                empirical_kurtosis(np.array([1e99, -3e99, 1e100, -1e100, 5e99]))
 
 
 class TestExceedanceCounts:
@@ -351,6 +361,10 @@ class TestFiniteSampleRule:
             for tail in diagnostics.HILL_TAILS:
                 series = ReturnSeries(x)
                 assert series.values is x
+                if x.std() == 0.0:  # refused before any section is computed
+                    with pytest.raises(DataError, match="^degenerate series: zero variance$"):
+                        build_tail_report(series, hill_tail=tail)
+                    continue
                 rep = build_tail_report(series, hill_tail=tail)
                 assert x.tobytes() == before
                 assert rep == build_tail_report(ReturnSeries(x.copy()), hill_tail=tail)
@@ -659,11 +673,24 @@ class TestBuildTailReport:
         with pytest.raises(ValueError, match=message):
             build_tail_report(ReturnSeries(np.ones(50)), **option)
 
-    def test_constant_series_marks_fields(self):
-        rep = build_tail_report(ReturnSeries(np.ones(50)))
-        assert rep.kurtosis is None
-        assert rep.exceedances == []
-        assert any("degenerate" in n or "zero" in n for n in rep.notes)
+    def test_constant_series_is_refused(self, monkeypatch):
+        # this once returned a report of notes with sigma 0, which audit then refused
+        monkeypatch.setattr(diagnostics, "empirical_kurtosis", None)  # no section runs
+        with pytest.raises(DataError, match="^degenerate series: zero variance$"):
+            build_tail_report(ReturnSeries(np.ones(50)))
+
+    @pytest.mark.parametrize("values, message", [
+        ([1e200, -1e200, 5e199], "mean 1.66667e+199, sigma inf"),
+        ([1.7e308, 1.7e308, 1.0], "mean inf, sigma inf")], ids=["squares", "sum"])
+    def test_series_out_of_double_range_is_refused(self, values, message, monkeypatch):
+        # sigma, or the mean too, overflowed: the report held inf or nan
+        # after numpy warnings
+        monkeypatch.setattr(diagnostics, "empirical_kurtosis", None)  # no section runs
+        pattern = re.escape(f"series out of double range: {message}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^{pattern}$"):
+                build_tail_report(ReturnSeries(np.array(values)))
 
     def test_minimal_series_kurtosis_unavailable(self):
         rep = build_tail_report(ReturnSeries(np.array([1.0, 2.0])))

@@ -7,7 +7,7 @@ from scipy.stats import ks_2samp
 from nugamma import dist, randsum
 from nugamma.diagnostics import ks_critical_value, ks_distance
 from nugamma.dist import SymmetricStable, SymmetrizedGamma
-from nugamma.errors import DataError, FitError, OutOfRegimeError
+from nugamma.errors import ArgumentError, DataError, FitError, OutOfRegimeError
 from nugamma.parallel import CHUNK, child_rng
 from nugamma.randsum import (
     ECDF_GRID_POINTS,
@@ -103,7 +103,7 @@ class TestComponents:
         assert x.var() == pytest.approx(2.0, abs=0.1)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown component kind"):
+        with pytest.raises(ArgumentError, match="kind must be one of"):
             Component("weird", 0.0)
 
     def test_variance_follows_the_law(self):
@@ -279,7 +279,8 @@ class TestPrelimit:
     @pytest.mark.parametrize("n, replicates", [(50, 1), (50, 0), (0, 10)])
     def test_needs_two_replicates_and_one_summand(self, n, replicates):
         # one replicate ran to a 512-row grid at a single x
-        with pytest.raises(ValueError, match="need n >= 1 and replicates >= 2"):
+        message = "n must be finite and >= 1" if n < 1 else "replicates must be finite and >= 2"
+        with pytest.raises(ArgumentError, match=f"^{message}, got "):
             prelimit_experiment(5, n, replicates, 1.83, SEED)
 
     def test_two_replicates_suffice(self):

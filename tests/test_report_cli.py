@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -157,8 +158,8 @@ class TestExitCodes:
         assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("args, code, prefix", [
-        (["bounds", "--sigma", "inf"], 1, "usage error: d and sigma must be finite"),
-        (["bounds", "--d-list", "inf"], 1, "usage error: d and sigma must be finite"),
+        (["bounds", "--sigma", "inf"], 1, "usage error: sigma must be finite and positive"),
+        (["bounds", "--d-list", "inf"], 1, "usage error: d must be finite and positive"),
         (["table3", "--Delta", "inf"], 1, "usage error: need 0 < delta < Delta < inf"),
         (["table3", "--Delta", "1e300"], 3, "numeric error: every row failed"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
@@ -187,6 +188,36 @@ class TestExitCodes:
             assert run(["audit", str(p), "--out", str(out), *column]) == 2
             assert capsys.readouterr().err == "data error: degenerate series: zero variance\n"
             assert not out.exists()
+
+    @staticmethod
+    def _audit_quietly(tmp_path, scale, out):
+        """audit of five values of +-0.1 scale to +-scale, with every warning an error."""
+        p = tmp_path / "huge.csv"
+        p.write_text("t,ret\n" + "".join(f"{i},{v * scale!r}\n" for i, v in
+                                          enumerate((0.1, -0.3, 1.0, -1.0, 0.5))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(["audit", str(p), "--column", "ret", "--format", "json", "--out", str(out)])
+
+    def test_squares_that_overflow_are_a_data_error(self, tmp_path, capsys):
+        # this exited 0 after three numpy RuntimeWarnings, with sigma and
+        # kurtosis null in the report and no note
+        out = tmp_path / "audit.json"
+        assert self._audit_quietly(tmp_path, 1e200, out) == 2
+        assert capsys.readouterr().err == (
+            "data error: series out of double range: mean 6e+198, sigma inf\n")
+        assert not out.exists()
+
+    def test_fourth_powers_that_overflow_are_noted(self, tmp_path, capsys):
+        # kurtosis read null with no note, after two numpy RuntimeWarnings
+        out = tmp_path / "audit.json"
+        assert self._audit_quietly(tmp_path, 1e100, out) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["summary"][0]["kurtosis"] is None
+        assert payload["summary"][0]["sigma"] > 0.0 and len(payload["exceedances"]) == 3
+        assert [n["note"] for n in payload["notes"] if n["note"].startswith("kurtosis")] == [
+            "kurtosis unavailable: kurtosis out of double range: the fourth powers overflow"]
 
     def test_numeric_underflow_window(self, capsys):
         assert run(["table3", "--delta", "1e-200", "--Delta", "1e-150",
@@ -273,7 +304,7 @@ class TestExitCodes:
         # one draw spans no central interval: this ran to 512 rows at one x
         out = _cli_subprocess(["fig2", "--reps", "1", "--n", "20"])
         assert out.returncode == 1 and out.stdout == ""
-        assert out.stderr.startswith("usage error: need n >= 1 and replicates >= 2")
+        assert out.stderr.startswith("usage error: replicates must be finite and >= 2, got 1")
         assert out.stderr.count("\n") == 1
 
     def test_fig2_exponent_zero_is_usage_error(self):
